@@ -42,8 +42,10 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "base/metric_table.h"
 #include "base/status.h"
 #include "bundle/region_bundle.h"
 #include "core/location_sanitizer.h"
@@ -164,29 +166,84 @@ RegionAuditReport AuditRegion(const core::LocationSanitizer& sanitizer,
 StatusOr<RegionAuditReport> AuditBundle(const bundle::RegionBundleView& view,
                                         const AuditOptions& options = {});
 
-// Stable key schema of ReportJson(), order-asserted by tests. Extend at
-// the end only (before "levels", which stays last), never rename.
-inline constexpr const char* kAuditReportJsonKeys[] = {
-    "height",          "audited_nodes",
-    "skipped_nodes",   "cold_nodes_skipped",
-    "expected_loss_euclidean", "expected_loss_squared",
-    "adversary_error", "conditional_entropy_bits",
-    "worst_case_loss", "min_slack",
-    "max_violation",   "levels"};
-inline constexpr const char* kAuditLevelJsonKeys[] = {
-    "level",           "nodes",
-    "weight",          "expected_loss_euclidean",
-    "expected_loss_squared",   "adversary_error",
-    "conditional_entropy_bits", "worst_case_loss",
-    "min_slack",       "max_violation"};
+// The "levels" row of kAuditReportTable (audit.cc): a JSON array of
+// kAuditLevelTable objects, and one family per level metric with a
+// sample per level labelled {level="L"}.
+void AppendLevelsJson(const RegionAuditReport& report, std::string& out);
+void AppendLevelsProm(const RegionAuditReport& report,
+                      std::string_view prefix, std::string& out);
 
-// One-line JSON object (key order = kAuditReportJsonKeys; doubles with
-// %.17g so equal reports serialize to equal bytes — the CLI's
-// bit-identity contract rides on this).
+// The schema of ReportJson() and ReportPrometheus(), in emission order.
+// Extend at the end only (before "levels", which stays last), never
+// rename. Doubles print with round-trip precision so equal reports
+// serialize to equal bytes: the CLI's bit-identity contract rides on it.
+inline constexpr metric::Row<RegionAuditReport> kAuditReportTable[] = {
+    {"height", metric::Gauge("height"),
+     [](const auto& r) { return metric::Int(r.height); }},
+    {"audited_nodes", metric::Gauge("audited_nodes"),
+     [](const auto& r) { return metric::Int(r.audited_nodes); }},
+    {"skipped_nodes", metric::Gauge("skipped_nodes"),
+     [](const auto& r) { return metric::Int(r.skipped_nodes); }},
+    {"cold_nodes_skipped", metric::Gauge("cold_nodes_skipped"),
+     [](const auto& r) { return metric::Int(r.cold_nodes_skipped); }},
+    {"expected_loss_euclidean", metric::Gauge("expected_loss_euclidean"),
+     [](const auto& r) {
+       return metric::RoundTrip(r.expected_loss_euclidean);
+     }},
+    {"expected_loss_squared", metric::Gauge("expected_loss_squared"),
+     [](const auto& r) { return metric::RoundTrip(r.expected_loss_squared); }},
+    {"adversary_error", metric::Gauge("adversary_error"),
+     [](const auto& r) { return metric::RoundTrip(r.adversary_error); }},
+    {"conditional_entropy_bits", metric::Gauge("conditional_entropy_bits"),
+     [](const auto& r) {
+       return metric::RoundTrip(r.conditional_entropy_bits);
+     }},
+    {"worst_case_loss", metric::Gauge("worst_case_loss"),
+     [](const auto& r) { return metric::RoundTrip(r.worst_case_loss); }},
+    {"min_slack", metric::Gauge("min_slack"),
+     [](const auto& r) { return metric::RoundTrip(r.min_slack); }},
+    {"max_violation", metric::Gauge("max_violation"),
+     [](const auto& r) { return metric::RoundTrip(r.max_violation); }},
+    {.json_key = "levels",
+     .emit_json = AppendLevelsJson,
+     .emit_prom = AppendLevelsProm},
+};
+inline constexpr metric::Row<LevelAudit> kAuditLevelTable[] = {
+    {"level", metric::kJsonOnly,
+     [](const auto& l) { return metric::Int(l.level); }},
+    {"nodes", metric::Gauge("level_nodes"),
+     [](const auto& l) { return metric::Int(l.nodes); }},
+    {"weight", metric::Gauge("level_weight"),
+     [](const auto& l) { return metric::RoundTrip(l.weight); }},
+    {"expected_loss_euclidean", metric::Gauge("level_expected_loss_euclidean"),
+     [](const auto& l) {
+       return metric::RoundTrip(l.expected_loss_euclidean);
+     }},
+    {"expected_loss_squared", metric::Gauge("level_expected_loss_squared"),
+     [](const auto& l) { return metric::RoundTrip(l.expected_loss_squared); }},
+    {"adversary_error", metric::Gauge("level_adversary_error"),
+     [](const auto& l) { return metric::RoundTrip(l.adversary_error); }},
+    {"conditional_entropy_bits",
+     metric::Gauge("level_conditional_entropy_bits"), [](const auto& l) {
+       return metric::RoundTrip(l.conditional_entropy_bits);
+     }},
+    {"worst_case_loss", metric::Gauge("level_worst_case_loss"),
+     [](const auto& l) { return metric::RoundTrip(l.worst_case_loss); }},
+    {"min_slack", metric::Gauge("level_min_slack"),
+     [](const auto& l) { return metric::RoundTrip(l.min_slack); }},
+    {"max_violation", metric::Gauge("level_max_violation"),
+     [](const auto& l) { return metric::RoundTrip(l.max_violation); }},
+};
+inline constexpr auto kAuditReportJsonKeys =
+    metric::JsonKeys(kAuditReportTable);
+inline constexpr auto kAuditLevelJsonKeys = metric::JsonKeys(kAuditLevelTable);
+// Every Prometheus sample is a gauge printed as a round-trip double.
+inline constexpr metric::PromFormat kAuditPromFormat{metric::kRoundTrip,
+                                                     /*all_real=*/true};
+
+// The report rendered from kAuditReportTable: a one-line JSON object, or
+// the Prometheus text with `prefix` prepended to every family name.
 std::string ReportJson(const RegionAuditReport& report);
-
-// Prometheus text exposition of the region scalars plus per-level
-// samples labelled {level="L"}. Family names carry `prefix`.
 std::string ReportPrometheus(const RegionAuditReport& report,
                              const std::string& prefix = "geopriv_audit_");
 

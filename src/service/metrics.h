@@ -20,8 +20,10 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "base/metric_table.h"
 #include "base/sharded_counter.h"
 
 namespace geopriv::service {
@@ -41,13 +43,11 @@ class LatencyHistogram {
   // sample cannot make sum_seconds_ — and every later mean — non-finite).
   void Record(double seconds);
 
-  // Quantile estimate in seconds, q in [0, 1]. Returns 0 with no samples.
-  double Quantile(double q) const;
-
   // Adds this histogram's buckets into `counts` — how sharded registries
   // merge their per-slot histograms before extracting quantiles.
   void AccumulateBuckets(BucketCounts& counts) const;
-  // The Quantile() estimator over caller-merged bucket counts.
+  // Quantile estimate in seconds, q in [0, 1], over caller-merged bucket
+  // counts. Returns 0 with no samples.
   static double QuantileFromBuckets(const BucketCounts& counts, double q);
 
   uint64_t count() const {
@@ -109,25 +109,76 @@ struct MetricsSnapshot {
   double audit_seconds = 0.0;
 };
 
-// The stable key schema of Metrics::ToJson(), in emission order. This is
-// the one place the schema is defined; tests/metrics_test.cc asserts the
-// emitted JSON matches it. Dashboards may rely on both presence and
-// order — extend at the end only, never rename or reorder.
-inline constexpr const char* kMetricsJsonKeys[] = {
-    "requests_total",     "requests_ok",
-    "requests_rejected",  "requests_failed",
-    "fallbacks_total",    "fallbacks_deadline",
-    "fallbacks_mechanism", "deadline_overruns",
-    "latency_count",      "latency_p50_ms",
-    "latency_p90_ms",     "latency_p99_ms",
-    "latency_mean_ms",    "latency_sum_seconds",
-    "latency_bucket_le_s", "latency_buckets_cumulative",
-    "bundle_loads",       "bundle_load_seconds",
-    "bundle_bytes_mapped", "plan_warm_at_startup",
-    "audit_runs",         "audit_nodes_audited",
-    "audit_skipped_nodes", "audit_drift_events",
-    "audit_tasks_rejected", "audit_baseline_errors",
-    "audit_seconds"};
+// The histogram rows of kMetricsTable (metrics.cc): bucket bounds and
+// cumulative counts as JSON arrays, and the whole Prometheus histogram
+// family (`le` buckets, _sum, _count).
+void AppendLatencyBoundsJson(const MetricsSnapshot& s, std::string& out);
+void AppendLatencyCountsJson(const MetricsSnapshot& s, std::string& out);
+void AppendLatencyHistogramProm(const MetricsSnapshot& s,
+                                std::string_view prefix, std::string& out);
+
+// The schema of Metrics::ToJson() and ToPrometheus(), in emission order.
+// Dashboards may rely on both presence and order: extend at the end only,
+// never rename or reorder.
+inline constexpr metric::Row<MetricsSnapshot> kMetricsTable[] = {
+    {"requests_total", metric::Counter("requests_total"),
+     [](const auto& s) { return metric::Int(s.requests_total); }},
+    {"requests_ok", metric::Counter("requests_ok_total"),
+     [](const auto& s) { return metric::Int(s.requests_ok); }},
+    {"requests_rejected", metric::Counter("requests_rejected_total"),
+     [](const auto& s) { return metric::Int(s.requests_rejected); }},
+    {"requests_failed", metric::Counter("requests_failed_total"),
+     [](const auto& s) { return metric::Int(s.requests_failed); }},
+    {"fallbacks_total", metric::Counter("fallbacks_total"),
+     [](const auto& s) { return metric::Int(s.fallbacks_total); }},
+    {"fallbacks_deadline", metric::Counter("fallbacks_deadline_total"),
+     [](const auto& s) { return metric::Int(s.fallbacks_deadline); }},
+    {"fallbacks_mechanism", metric::Counter("fallbacks_mechanism_total"),
+     [](const auto& s) { return metric::Int(s.fallbacks_mechanism); }},
+    {"deadline_overruns", metric::Counter("deadline_overruns_total"),
+     [](const auto& s) { return metric::Int(s.deadline_overruns); }},
+    {"latency_count", metric::kJsonOnly,
+     [](const auto& s) { return metric::Int(s.latency_count); }},
+    {"latency_p50_ms", metric::kJsonOnly,
+     [](const auto& s) { return metric::Fixed6(s.latency_p50_ms); }},
+    {"latency_p90_ms", metric::kJsonOnly,
+     [](const auto& s) { return metric::Fixed6(s.latency_p90_ms); }},
+    {"latency_p99_ms", metric::kJsonOnly,
+     [](const auto& s) { return metric::Fixed6(s.latency_p99_ms); }},
+    {"latency_mean_ms", metric::kJsonOnly,
+     [](const auto& s) { return metric::Fixed6(s.latency_mean_ms); }},
+    {"latency_sum_seconds", metric::kJsonOnly,
+     [](const auto& s) { return metric::Fixed6(s.latency_sum_seconds); }},
+    {.json_key = "latency_bucket_le_s", .emit_json = AppendLatencyBoundsJson},
+    {.json_key = "latency_buckets_cumulative",
+     .emit_json = AppendLatencyCountsJson,
+     .emit_prom = AppendLatencyHistogramProm},
+    {"bundle_loads", metric::Counter("bundle_loads_total"),
+     [](const auto& s) { return metric::Int(s.bundle_loads); }},
+    {"bundle_load_seconds", metric::Gauge("bundle_load_seconds"),
+     [](const auto& s) { return metric::Fixed6(s.bundle_load_seconds); }},
+    {"bundle_bytes_mapped", metric::Gauge("bundle_bytes_mapped"),
+     [](const auto& s) { return metric::Int(s.bundle_bytes_mapped); }},
+    {"plan_warm_at_startup", metric::Gauge("plan_warm_at_startup"),
+     [](const auto& s) { return metric::Int(s.plan_warm_at_startup); }},
+    {"audit_runs", metric::Counter("audit_runs_total"),
+     [](const auto& s) { return metric::Int(s.audit_runs); }},
+    {"audit_nodes_audited", metric::Counter("audit_nodes_audited_total"),
+     [](const auto& s) { return metric::Int(s.audit_nodes_audited); }},
+    {"audit_skipped_nodes", metric::Counter("audit_skipped_nodes_total"),
+     [](const auto& s) { return metric::Int(s.audit_skipped_nodes); }},
+    {"audit_drift_events", metric::Counter("audit_drift_events_total"),
+     [](const auto& s) { return metric::Int(s.audit_drift_events); }},
+    {"audit_tasks_rejected", metric::Counter("audit_tasks_rejected_total"),
+     [](const auto& s) { return metric::Int(s.audit_tasks_rejected); }},
+    {"audit_baseline_errors", metric::Counter("audit_baseline_errors_total"),
+     [](const auto& s) { return metric::Int(s.audit_baseline_errors); }},
+    {"audit_seconds", metric::Gauge("audit_seconds"),
+     [](const auto& s) { return metric::Fixed6(s.audit_seconds); }},
+};
+inline constexpr auto kMetricsJsonKeys = metric::JsonKeys(kMetricsTable);
+// Prometheus prints the real-valued gauges with more digits than JSON.
+inline constexpr metric::PromFormat kMetricsPromFormat{metric::kFixed9};
 
 class Metrics {
  public:
@@ -193,20 +244,10 @@ class Metrics {
 
   MetricsSnapshot Snapshot() const;
 
-  // The snapshot as a JSON object (one line, key order = kMetricsJsonKeys).
+  // The snapshot rendered from kMetricsTable: a one-line JSON object, or
+  // the Prometheus text with `prefix` prepended to every family name.
   std::string ToJson() const;
-
-  // The snapshot in the Prometheus text exposition format: one counter
-  // family per request/fallback counter plus one cumulative histogram
-  // (`<prefix>request_latency_seconds` with `le` buckets, _sum, _count).
-  // `prefix` is prepended to every family name.
   std::string ToPrometheus(const std::string& prefix = "geopriv_") const;
-
-  int num_slots() const { return static_cast<int>(slots_.size()); }
-
-  // Aggregates across slots (the per-slot histograms stay private).
-  uint64_t latency_count() const;
-  double latency_total_seconds() const;
 
  private:
   struct alignas(kCounterSlotAlign) Slot {
@@ -248,9 +289,7 @@ class Metrics {
   std::vector<Slot> slots_;
 };
 
-// Escapes `s` for embedding inside a JSON string literal: quote,
-// backslash, and control characters become their \-sequences.
-std::string JsonEscape(const std::string& s);
+using metric::JsonEscape;
 
 }  // namespace geopriv::service
 

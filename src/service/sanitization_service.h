@@ -174,35 +174,9 @@ struct SanitizeResult {
   int worker_id = -1;
 };
 
-// The stable key schema of SanitizationService::MetricsJson(), defined
-// here in one place and asserted by tests/metrics_test.cc. Like
-// kMetricsJsonKeys (the schema of the nested "service" object), these may
-// be extended at the end only, never renamed or reordered.
-inline constexpr const char* kServiceMetricsJsonKeys[] = {
-    "service", "snapshot_epoch", "trace", "regions", "shards"};
-inline constexpr const char* kTraceMetricsJsonKeys[] = {
-    "enabled",           "sample_one_in",  "requests_started",
-    "requests_retained", "requests_forced", "spans_committed",
-    "spans_dropped"};
-inline constexpr const char* kRegionMetricsJsonKeys[] = {
-    "eps",           "height",
-    "leaf_cells_per_axis", "lp_solves",
-    "lp_seconds",    "lp_pricing_seconds",
-    "lp_simplex_seconds",  "lp_refactor_seconds",
-    "lp_violations", "degraded_rows",
-    "uniform_prior_fallbacks", "cache_hits",
-    "cache_size",    "cache_bytes_resident",
-    "cache_byte_budget",   "cache_evictions",
-    "cache_hit_rate",      "prewarmed_nodes",
-    "singleflight_waits",  "plan_builds",
-    "plan_levels",   "fallthrough_levels",
-    "bundle_bytes_mapped", "plan_warm_at_startup",
-    "audit_runs",    "audit_expected_loss_euclidean",
-    "audit_expected_loss_squared", "audit_adversary_error",
-    "audit_conditional_entropy_bits", "audit_worst_case_loss",
-    "audit_min_slack",     "audit_max_violation",
-    "audit_audited_nodes", "audit_skipped_nodes",
-    "audit_drift_events"};
+// Everything one MetricsJson() / MetricsText() call reports, read once
+// (defined after the class, with the tables that render it).
+struct ServiceScrape;
 
 class SanitizationService {
  public:
@@ -300,15 +274,15 @@ class SanitizationService {
   Metrics& metrics() { return metrics_; }
   const Metrics& metrics() const { return metrics_; }
 
-  // Service counters plus per-region cache stats, as one JSON object.
-  // Top-level key order = kServiceMetricsJsonKeys; each region object's
-  // key order = kRegionMetricsJsonKeys.
+  // Service counters, trace counters, per-region stats and the routing
+  // table as one JSON object, rendered from kServiceTable.
   std::string MetricsJson() const;
 
-  // The service counters in the Prometheus text exposition format:
-  // everything Metrics::ToPrometheus() emits, plus per-region gauges
-  // (labelled {region="<id>"}), trace-recorder counters, and the registry
-  // snapshot epoch. Family names carry the "geopriv_" prefix.
+  // The same scrape in the Prometheus text exposition format: everything
+  // Metrics::ToPrometheus() emits, the registry snapshot epoch, the trace
+  // counters (tracing on only), the shard families (routing on only) and
+  // per-region samples labelled {region="<id>"}. Family names carry the
+  // "geopriv_" prefix.
   std::string MetricsText() const;
 
   // Post-mortem trace dumps ("[]" / empty traceEvents when tracing is
@@ -382,6 +356,10 @@ class SanitizationService {
 
   explicit SanitizationService(const ServiceOptions& options);
 
+  static RegionInfo InfoOf(const Region& region);
+  // One read of every metric source; each region is read exactly once.
+  ServiceScrape Scrape() const;
+
   // One atomic load, no locks — the per-request registry access.
   std::shared_ptr<Region> FindRegion(const std::string& region_id) const;
 
@@ -454,6 +432,171 @@ class SanitizationService {
   // Last member: destroyed (joined) first, while the state above is alive.
   std::unique_ptr<ThreadPool> pool_;
 };
+
+// One region as a scrape reads it: GetRegionInfo's fields plus the
+// region's audit counters and latest report (all zeros until its first
+// audit).
+struct RegionScrape {
+  std::string id;
+  SanitizationService::RegionInfo info;
+  uint64_t audit_runs = 0;
+  uint64_t audit_drift_events = 0;
+  audit::RegionAuditReport audit;
+};
+
+struct ServiceScrape {
+  MetricsSnapshot service;
+  uint64_t snapshot_epoch = 0;
+  // All zeros with trace_enabled == 0 when tracing is off (the JSON block
+  // keeps its schema either way).
+  int trace_enabled = 0;
+  uint32_t trace_sample_one_in = 0;
+  obs::TraceStats trace;
+  std::vector<RegionScrape> regions;  // sorted by id
+  RoutingSnapshot shards;             // the empty table when routing is off
+};
+
+// The schemas of MetricsJson() and MetricsText(), in emission order.
+// Dashboards may rely on both presence and order: extend at the end only,
+// never rename or reorder. kMetricsTable is the "service" object and
+// kShardTable the "shards" object.
+inline constexpr metric::Row<ServiceScrape> kTraceTable[] = {
+    {"enabled", metric::kJsonOnly,
+     [](const auto& s) { return metric::Int(s.trace_enabled); }},
+    {"sample_one_in", metric::kJsonOnly,
+     [](const auto& s) { return metric::Int(s.trace_sample_one_in); }},
+    {"requests_started", metric::Counter("trace_requests_started_total"),
+     [](const auto& s) { return metric::Int(s.trace.requests_started); }},
+    {"requests_retained", metric::Counter("trace_requests_retained_total"),
+     [](const auto& s) { return metric::Int(s.trace.requests_retained); }},
+    {"requests_forced", metric::Counter("trace_requests_forced_total"),
+     [](const auto& s) { return metric::Int(s.trace.requests_forced); }},
+    {"spans_committed", metric::Counter("trace_spans_committed_total"),
+     [](const auto& s) { return metric::Int(s.trace.spans_committed); }},
+    {"spans_dropped", metric::Counter("trace_spans_dropped_total"),
+     [](const auto& s) { return metric::Int(s.trace.spans_dropped); }},
+};
+
+// Per-region rows. In Prometheus every value prints as a %.9g double.
+inline constexpr metric::Row<RegionScrape> kRegionTable[] = {
+    {"eps", metric::kJsonOnly,
+     [](const auto& r) { return metric::Fixed6(r.info.eps); }},
+    {"height", metric::kJsonOnly,
+     [](const auto& r) { return metric::Int(r.info.height); }},
+    {"leaf_cells_per_axis", metric::kJsonOnly,
+     [](const auto& r) { return metric::Int(r.info.leaf_cells_per_axis); }},
+    {"lp_solves", metric::Counter("region_lp_solves"),
+     [](const auto& r) { return metric::Int(r.info.msm.lp_solves); }},
+    {"lp_seconds", metric::Counter("region_lp_seconds"),
+     [](const auto& r) { return metric::Fixed6(r.info.msm.lp_seconds); }},
+    {"lp_pricing_seconds", metric::kJsonOnly, [](const auto& r) {
+       return metric::Fixed6(r.info.msm.lp_pricing_seconds);
+     }},
+    {"lp_simplex_seconds", metric::kJsonOnly, [](const auto& r) {
+       return metric::Fixed6(r.info.msm.lp_simplex_seconds);
+     }},
+    {"lp_refactor_seconds", metric::Counter("region_lp_refactor_seconds"),
+     [](const auto& r) {
+       return metric::Fixed6(r.info.msm.lp_refactor_seconds);
+     }},
+    {"lp_violations", metric::kJsonOnly,
+     [](const auto& r) { return metric::Int(r.info.msm.lp_violations_found); }},
+    {"degraded_rows", metric::kJsonOnly,
+     [](const auto& r) { return metric::Int(r.info.msm.degraded_rows); }},
+    {"uniform_prior_fallbacks", metric::kJsonOnly, [](const auto& r) {
+       return metric::Int(r.info.msm.uniform_prior_fallbacks);
+     }},
+    {"cache_hits", metric::Counter("region_cache_hits"),
+     [](const auto& r) { return metric::Int(r.info.msm.cache_hits); }},
+    {"cache_size", metric::Gauge("region_cache_size"),
+     [](const auto& r) { return metric::Int(r.info.cache_size); }},
+    {"cache_bytes_resident", metric::Gauge("region_cache_bytes_resident"),
+     [](const auto& r) { return metric::Int(r.info.cache_bytes_resident); }},
+    {"cache_byte_budget", metric::kJsonOnly,
+     [](const auto& r) { return metric::Int(r.info.cache_byte_budget); }},
+    {"cache_evictions", metric::Counter("region_cache_evictions"),
+     [](const auto& r) { return metric::Int(r.info.cache_evictions); }},
+    {"cache_hit_rate", metric::kJsonOnly,
+     [](const auto& r) { return metric::Fixed6(r.info.cache_hit_rate); }},
+    {"prewarmed_nodes", metric::kJsonOnly,
+     [](const auto& r) { return metric::Int(r.info.prewarmed_nodes); }},
+    {"singleflight_waits", metric::Counter("region_singleflight_waits"),
+     [](const auto& r) { return metric::Int(r.info.singleflight_waits); }},
+    {"plan_builds", metric::Counter("region_plan_builds"),
+     [](const auto& r) { return metric::Int(r.info.msm.plan_builds); }},
+    {"plan_levels", metric::kJsonOnly,
+     [](const auto& r) { return metric::Int(r.info.msm.plan_levels); }},
+    {"fallthrough_levels", metric::kJsonOnly,
+     [](const auto& r) { return metric::Int(r.info.msm.fallthrough_levels); }},
+    {"bundle_bytes_mapped", metric::Gauge("region_bundle_bytes_mapped"),
+     [](const auto& r) { return metric::Int(r.info.bundle_bytes_mapped); }},
+    {"plan_warm_at_startup", metric::Gauge("region_plan_warm_at_startup"),
+     [](const auto& r) { return metric::Int(r.info.plan_warm_at_startup); }},
+    {"audit_runs", metric::Counter("region_audit_runs"),
+     [](const auto& r) { return metric::Int(r.audit_runs); }},
+    {"audit_expected_loss_euclidean",
+     metric::Gauge("region_audit_expected_loss_euclidean"), [](const auto& r) {
+       return metric::General9(r.audit.expected_loss_euclidean);
+     }},
+    {"audit_expected_loss_squared",
+     metric::Gauge("region_audit_expected_loss_squared"), [](const auto& r) {
+       return metric::General9(r.audit.expected_loss_squared);
+     }},
+    {"audit_adversary_error", metric::Gauge("region_audit_adversary_error"),
+     [](const auto& r) { return metric::General9(r.audit.adversary_error); }},
+    {"audit_conditional_entropy_bits",
+     metric::Gauge("region_audit_conditional_entropy_bits"), [](const auto& r) {
+       return metric::General9(r.audit.conditional_entropy_bits);
+     }},
+    {"audit_worst_case_loss", metric::Gauge("region_audit_worst_case_loss"),
+     [](const auto& r) { return metric::General9(r.audit.worst_case_loss); }},
+    {"audit_min_slack", metric::Gauge("region_audit_min_slack"),
+     [](const auto& r) { return metric::General9(r.audit.min_slack); }},
+    {"audit_max_violation", metric::Gauge("region_audit_max_violation"),
+     [](const auto& r) { return metric::General9(r.audit.max_violation); }},
+    {"audit_audited_nodes", metric::Gauge("region_audit_audited_nodes"),
+     [](const auto& r) { return metric::Int(r.audit.audited_nodes); }},
+    {"audit_skipped_nodes", metric::Gauge("region_audit_skipped_nodes"),
+     [](const auto& r) { return metric::Int(r.audit.skipped_nodes); }},
+    {"audit_drift_events", metric::Counter("region_audit_drift_events"),
+     [](const auto& r) { return metric::Int(r.audit_drift_events); }},
+};
+inline constexpr metric::PromFormat kRegionPromFormat{metric::kGeneral9,
+                                                      /*all_real=*/true};
+
+// The top-level JSON object. Only snapshot_epoch has a Prometheus family
+// here; MetricsText() places the other blocks itself.
+inline constexpr metric::Row<ServiceScrape> kServiceTable[] = {
+    {.json_key = "service",
+     .emit_json = [](const auto& s, std::string& out) {
+       metric::AppendJson(kMetricsTable, s.service, out);
+     }},
+    {"snapshot_epoch", metric::Gauge("snapshot_epoch"),
+     [](const auto& s) { return metric::Int(s.snapshot_epoch); }},
+    {.json_key = "trace",
+     .emit_json = [](const auto& s, std::string& out) {
+       metric::AppendJson(kTraceTable, s, out);
+     }},
+    {.json_key = "regions",
+     .emit_json = [](const auto& s, std::string& out) {
+       out += '{';
+       for (size_t i = 0; i < s.regions.size(); ++i) {
+         out += i == 0 ? "\"" : ",\"";
+         out += metric::JsonEscape(s.regions[i].id) + "\":";
+         metric::AppendJson(kRegionTable, s.regions[i], out);
+       }
+       out += '}';
+     }},
+    {.json_key = "shards",
+     .emit_json = [](const auto& s, std::string& out) {
+       metric::AppendJson(kShardTable, s.shards, out);
+     }},
+};
+
+inline constexpr auto kServiceMetricsJsonKeys =
+    metric::JsonKeys(kServiceTable);
+inline constexpr auto kTraceMetricsJsonKeys = metric::JsonKeys(kTraceTable);
+inline constexpr auto kRegionMetricsJsonKeys = metric::JsonKeys(kRegionTable);
 
 }  // namespace geopriv::service
 

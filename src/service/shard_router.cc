@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <string>
 
 namespace geopriv::service {
 
@@ -68,34 +69,49 @@ int ShardRouter::ShardFor(std::string_view region_id) const {
   return it->shard;
 }
 
-std::string ShardRouter::RoutingTableJson() const {
-  char buf[96];
-  std::snprintf(buf, sizeof(buf),
-                "{\"num_shards\":%d,\"vnodes_per_shard\":%d,\"requests\":[",
-                num_shards_, vnodes_per_shard_);
-  std::string json = buf;
-  uint64_t total = 0;
+RoutingSnapshot ShardRouter::Snapshot() const {
+  RoutingSnapshot s;
+  s.num_shards = num_shards_;
+  s.vnodes_per_shard = vnodes_per_shard_;
+  s.requests.reserve(static_cast<size_t>(num_shards_));
   uint64_t max_shard = 0;
-  for (int s = 0; s < num_shards_; ++s) {
-    const uint64_t r = requests(s);
-    total += r;
-    if (r > max_shard) max_shard = r;
-    std::snprintf(buf, sizeof(buf), "%s%llu", s == 0 ? "" : ",",
-                  static_cast<unsigned long long>(r));
-    json += buf;
+  for (int shard = 0; shard < num_shards_; ++shard) {
+    const uint64_t r = requests(shard);
+    s.requests.push_back(r);
+    s.requests_total += r;
+    max_shard = std::max(max_shard, r);
   }
-  // One pass over the counters feeds the array, the total, and the
-  // imbalance ratio, so the three stay mutually consistent in the output
-  // even under concurrent recording.
-  const double imbalance =
-      total == 0 ? 0.0
-                 : static_cast<double>(max_shard) * num_shards_ /
-                       static_cast<double>(total);
-  std::snprintf(buf, sizeof(buf),
-                "],\"requests_total\":%llu,\"shard_imbalance_ratio\":%.6f}",
-                static_cast<unsigned long long>(total), imbalance);
-  json += buf;
+  if (s.requests_total > 0) {
+    s.imbalance_ratio = static_cast<double>(max_shard) * num_shards_ /
+                        static_cast<double>(s.requests_total);
+  }
+  return s;
+}
+
+std::string ShardRouter::RoutingTableJson() const {
+  std::string json;
+  metric::AppendJson(kShardTable, Snapshot(), json);
   return json;
+}
+
+void AppendShardRequestsJson(const RoutingSnapshot& s, std::string& out) {
+  out += '[';
+  for (size_t i = 0; i < s.requests.size(); ++i) {
+    if (i > 0) out += ',';
+    metric::AppendValue(out, metric::Int(s.requests[i]));
+  }
+  out += ']';
+}
+
+void AppendShardRequestsProm(const RoutingSnapshot& s,
+                             std::string_view prefix, std::string& out) {
+  const metric::Family family = metric::Counter("shard_requests");
+  metric::AppendTypeLine(out, prefix, family);
+  for (size_t i = 0; i < s.requests.size(); ++i) {
+    metric::AppendSample(out, prefix, family.name,
+                         "{shard=\"" + std::to_string(i) + "\"}",
+                         metric::Int(s.requests[i]), {});
+  }
 }
 
 }  // namespace geopriv::service

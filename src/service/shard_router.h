@@ -31,16 +31,51 @@
 #include <string_view>
 #include <vector>
 
+#include "base/metric_table.h"
 #include "base/sharded_counter.h"
 
 namespace geopriv::service {
 
-// Stable key schema of ShardRouter::RoutingTableJson() (and of the
-// "shards" object in SanitizationService::MetricsJson()), in emission
-// order; order-asserted by tests. Extend at the end only.
-inline constexpr const char* kShardJsonKeys[] = {
-    "num_shards", "vnodes_per_shard", "requests", "requests_total",
-    "shard_imbalance_ratio"};
+// The router's counters read in one pass, so the per-shard counts, the
+// total and the imbalance ratio agree even under concurrent recording.
+struct RoutingSnapshot {
+  int num_shards = 0;
+  int vnodes_per_shard = 0;
+  std::vector<uint64_t> requests;  // per shard
+  uint64_t requests_total = 0;
+  // Max per-shard count over the even share (total / num_shards): 1.0 =
+  // perfectly balanced, num_shards = everything on one shard, 0 while no
+  // requests have been recorded.
+  double imbalance_ratio = 0.0;
+};
+
+// The "requests" row of kShardTable (shard_router.cc): a JSON array, and
+// one counter sample per shard labelled {shard="<s>"}.
+void AppendShardRequestsJson(const RoutingSnapshot& s, std::string& out);
+void AppendShardRequestsProm(const RoutingSnapshot& s,
+                             std::string_view prefix, std::string& out);
+
+// The schema of ShardRouter::RoutingTableJson() (the "shards" object in
+// SanitizationService::MetricsJson()) and of the service's shard families,
+// in emission order. Extend at the end only.
+inline constexpr metric::Row<RoutingSnapshot> kShardTable[] = {
+    {"num_shards", metric::Gauge("shard_count"),
+     [](const auto& s) { return metric::Int(s.num_shards); }},
+    {"vnodes_per_shard", metric::kJsonOnly,
+     [](const auto& s) { return metric::Int(s.vnodes_per_shard); }},
+    {.json_key = "requests",
+     .emit_json = AppendShardRequestsJson,
+     .emit_prom = AppendShardRequestsProm},
+    {"requests_total", metric::Counter("shard_requests_cumulative_total"),
+     [](const auto& s) { return metric::Int(s.requests_total); }},
+    // With routing off the empty table prints a bare 0.
+    {"shard_imbalance_ratio", metric::Gauge("shard_imbalance_ratio"),
+     [](const auto& s) {
+       return s.num_shards == 0 ? metric::Int(0)
+                                : metric::Fixed6(s.imbalance_ratio);
+     }},
+};
+inline constexpr auto kShardJsonKeys = metric::JsonKeys(kShardTable);
 
 class ShardRouter {
  public:
@@ -71,35 +106,14 @@ class ShardRouter {
         std::memory_order_relaxed);
   }
 
-  // Sum of all per-shard counters (relaxed reads; counters may be a few
-  // events apart under concurrent recording, the standard trade).
-  uint64_t requests_total() const {
-    uint64_t total = 0;
-    for (int s = 0; s < num_shards_; ++s) total += requests(s);
-    return total;
-  }
-
-  // Load-skew gauge: max per-shard count divided by the perfectly even
-  // share (total / num_shards). 1.0 = perfectly balanced, num_shards =
-  // everything on one shard, 0 while no requests have been recorded.
-  double imbalance_ratio() const {
-    uint64_t total = 0;
-    uint64_t max_shard = 0;
-    for (int s = 0; s < num_shards_; ++s) {
-      const uint64_t r = requests(s);
-      total += r;
-      if (r > max_shard) max_shard = r;
-    }
-    if (total == 0) return 0.0;
-    return static_cast<double>(max_shard) * num_shards_ /
-           static_cast<double>(total);
-  }
+  // Every counter in one relaxed pass (counters may be a few events
+  // apart under concurrent recording, the standard trade).
+  RoutingSnapshot Snapshot() const;
 
   int num_shards() const { return num_shards_; }
   int vnodes_per_shard() const { return vnodes_per_shard_; }
 
-  // The routing table's shape plus the live per-shard request counts,
-  // cumulative total, and imbalance ratio. Key order = kShardJsonKeys.
+  // Snapshot() rendered from kShardTable.
   std::string RoutingTableJson() const;
 
  private:

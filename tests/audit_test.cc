@@ -35,8 +35,8 @@ std::string TempPath(const std::string& name) {
 }
 
 // Same presence-and-order assertion the metrics schema tests use.
-template <size_t N>
-void ExpectKeysInOrder(const std::string& json, const char* const (&keys)[N],
+template <class Keys>
+void ExpectKeysInOrder(const std::string& json, const Keys& keys,
                        size_t from = 0) {
   size_t pos = from;
   for (const char* key : keys) {

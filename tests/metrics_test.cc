@@ -1,6 +1,6 @@
 // Tests for the service metrics surface: the stable JSON key schema
-// (kMetricsJsonKeys / kRegionMetricsJsonKeys are the one source of
-// truth), the cumulative histogram export, the Prometheus text format,
+// (kMetricsJsonKeys / kRegionMetricsJsonKeys, the key views of the
+// descriptor tables), the cumulative histogram export, the Prometheus text format,
 // JsonEscape over the full control-character range, and the
 // QuantileFromBuckets estimator's monotonicity.
 
@@ -19,8 +19,8 @@ namespace {
 
 // Asserts every key in `keys` appears in `json` as "key": at a strictly
 // increasing position — presence and order in one pass.
-template <size_t N>
-void ExpectKeysInOrder(const std::string& json, const char* const (&keys)[N],
+template <class Keys>
+void ExpectKeysInOrder(const std::string& json, const Keys& keys,
                        size_t from = 0) {
   size_t pos = from;
   for (const char* key : keys) {

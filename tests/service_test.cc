@@ -508,14 +508,14 @@ TEST(MetricsTest, InfiniteLatencySampleDoesNotPoisonTheMean) {
   EXPECT_TRUE(std::isfinite(s.latency_mean_ms));
   EXPECT_TRUE(std::isfinite(s.latency_p99_ms));
   // The corrupt sample lands in the top bucket instead of vanishing.
-  EXPECT_LE(metrics.latency_total_seconds(),
+  EXPECT_LE(metrics.Snapshot().latency_sum_seconds,
             LatencyHistogram::BucketBound(LatencyHistogram::kNumBuckets - 1) +
                 1.0);
   // NaN and negative stay clamped to zero as before.
   metrics.RecordLatency(std::numeric_limits<double>::quiet_NaN());
   metrics.RecordLatency(-5.0);
-  EXPECT_TRUE(std::isfinite(metrics.latency_total_seconds()));
-  EXPECT_EQ(metrics.latency_count(), 4u);
+  EXPECT_TRUE(std::isfinite(metrics.Snapshot().latency_sum_seconds));
+  EXPECT_EQ(metrics.Snapshot().latency_count, 4u);
 }
 
 TEST(MetricsTest, ShardedSlotsAggregateAcrossRecorders) {

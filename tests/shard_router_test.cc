@@ -94,20 +94,20 @@ TEST(ShardRouterTest, CountersTrackRecordedRequests) {
 
 TEST(ShardRouterTest, TotalsAndImbalanceTrackTheCounters) {
   ShardRouter router(4, 16);
-  EXPECT_EQ(router.requests_total(), 0u);
-  EXPECT_DOUBLE_EQ(router.imbalance_ratio(), 0.0);  // no traffic yet
+  EXPECT_EQ(router.Snapshot().requests_total, 0u);
+  EXPECT_DOUBLE_EQ(router.Snapshot().imbalance_ratio, 0.0);  // no traffic yet
 
   // Perfectly even traffic: ratio exactly 1.
   for (int s = 0; s < 4; ++s) {
     for (int i = 0; i < 10; ++i) router.RecordRequest(s);
   }
-  EXPECT_EQ(router.requests_total(), 40u);
-  EXPECT_DOUBLE_EQ(router.imbalance_ratio(), 1.0);
+  EXPECT_EQ(router.Snapshot().requests_total, 40u);
+  EXPECT_DOUBLE_EQ(router.Snapshot().imbalance_ratio, 1.0);
 
   // Pile everything extra onto one shard: max/mean grows accordingly.
   for (int i = 0; i < 40; ++i) router.RecordRequest(2);
-  EXPECT_EQ(router.requests_total(), 80u);
-  EXPECT_DOUBLE_EQ(router.imbalance_ratio(), 50.0 * 4 / 80.0);
+  EXPECT_EQ(router.Snapshot().requests_total, 80u);
+  EXPECT_DOUBLE_EQ(router.Snapshot().imbalance_ratio, 50.0 * 4 / 80.0);
 
   const std::string json = router.RoutingTableJson();
   // Key presence and order = the documented schema.
