@@ -12,7 +12,9 @@ namespace geopriv {
 
 int EffectiveParallelism(const ThreadPool* pool, int requested) {
   if (requested > 0) return requested;
-  return pool != nullptr ? pool->num_threads() + 1 : 1;
+  if (pool == nullptr) return 1;
+  // A caller inside the pool is one of its workers already.
+  return pool->num_threads() + (pool->InWorkerThread() ? 0 : 1);
 }
 
 namespace {
@@ -52,14 +54,22 @@ void DrainChunks(const std::shared_ptr<ChunkState>& state) {
 void ParallelChunks(ThreadPool* pool, int parallelism, int num_chunks,
                     const std::function<void(int)>& fn) {
   if (num_chunks <= 0) return;
-  if (pool == nullptr || parallelism <= 1 || num_chunks == 1) {
+  int helpers = 0;
+  if (pool != nullptr && parallelism > 1) {
+    helpers = std::min(parallelism - 1, num_chunks - 1);
+    // From one of the pool's own workers only the other workers can help:
+    // a helper queued beyond them would just wait behind the caller.
+    if (pool->InWorkerThread()) {
+      helpers = std::min(helpers, pool->num_threads() - 1);
+    }
+  }
+  if (helpers <= 0) {
     for (int chunk = 0; chunk < num_chunks; ++chunk) fn(chunk);
     return;
   }
   auto state = std::make_shared<ChunkState>();
   state->total = num_chunks;
   state->fn = &fn;
-  const int helpers = std::min(parallelism - 1, num_chunks - 1);
   for (int h = 0; h < helpers; ++h) {
     // Non-blocking on purpose: a full queue or a shut-down pool means
     // fewer helpers, never a deadlock — the caller picks up every

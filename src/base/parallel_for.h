@@ -12,7 +12,7 @@
 //    pool) is safe for the same reason.
 //
 // This is the fan-out primitive of the parallel LP construction pipeline
-// (pricing slices, cost tables, simplex dense kernels, row samplers).
+// (pricing slices, cost tables, row samplers).
 
 #ifndef GEOPRIV_BASE_PARALLEL_FOR_H_
 #define GEOPRIV_BASE_PARALLEL_FOR_H_
@@ -25,7 +25,9 @@ class ThreadPool;
 
 // Runs fn(chunk) exactly once for every chunk in [0, num_chunks), using up
 // to `parallelism` threads in total: the calling thread plus helpers drawn
-// from `pool`. Returns only after every chunk has finished. With a null
+// from `pool` (at most the other workers when the caller is one of them,
+// so a 1-thread pool's own worker runs everything inline and queues
+// nothing). Returns only after every chunk has finished. With a null
 // pool or parallelism <= 1 the chunks run inline, in order, on the calling
 // thread — callers can rely on that for a bit-exact serial reference.
 //
@@ -37,7 +39,8 @@ void ParallelChunks(ThreadPool* pool, int parallelism, int num_chunks,
 
 // Effective total parallelism for a caller-supplied pool: `requested` when
 // positive, otherwise pool->num_threads() + 1 (every pool worker plus the
-// calling thread), or 1 without a pool.
+// calling thread), or 1 without a pool. A caller that is itself one of the
+// pool's workers counts once: pool->num_threads().
 int EffectiveParallelism(const ThreadPool* pool, int requested);
 
 }  // namespace geopriv

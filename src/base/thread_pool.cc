@@ -4,6 +4,11 @@
 
 namespace geopriv {
 
+namespace {
+// The pool whose WorkerLoop runs on this thread (null elsewhere).
+thread_local const ThreadPool* current_pool = nullptr;
+}  // namespace
+
 ThreadPool::ThreadPool(int num_threads, size_t queue_capacity)
     : queue_(queue_capacity) {
   GEOPRIV_CHECK_MSG(num_threads >= 1, "thread pool needs >= 1 worker");
@@ -27,7 +32,10 @@ void ThreadPool::Shutdown() {
   }
 }
 
+bool ThreadPool::InWorkerThread() const { return current_pool == this; }
+
 void ThreadPool::WorkerLoop(int worker_id) {
+  current_pool = this;
   Task task;
   while (queue_.Pop(&task)) {
     task(worker_id);

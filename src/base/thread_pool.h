@@ -118,6 +118,8 @@ class ThreadPool {
   void Shutdown();
 
   int num_threads() const { return static_cast<int>(workers_.size()); }
+  // True when called from one of this pool's own worker threads.
+  bool InWorkerThread() const;
   size_t queue_depth() const { return queue_.size(); }
   size_t queue_capacity() const { return queue_.capacity(); }
 

@@ -40,6 +40,8 @@ MsmStats MultiStepMechanism::stats() const {
         slot.lp_simplex_seconds.load(std::memory_order_relaxed);
     snapshot.lp_refactor_seconds +=
         slot.lp_refactor_seconds.load(std::memory_order_relaxed);
+    snapshot.lp_numerical_retries +=
+        slot.lp_numerical_retries.load(std::memory_order_relaxed);
     snapshot.lp_violations_found +=
         slot.lp_violations_found.load(std::memory_order_relaxed);
     snapshot.degraded_rows +=
@@ -120,6 +122,8 @@ MultiStepMechanism::BuildNodeMechanism(spatial::NodeIndex node,
                                     std::memory_order_relaxed);
   slot.lp_refactor_seconds.fetch_add(os.refactor_seconds,
                                      std::memory_order_relaxed);
+  slot.lp_numerical_retries.fetch_add(os.numerical_retries,
+                                      std::memory_order_relaxed);
   slot.lp_violations_found.fetch_add(os.violations_found,
                                      std::memory_order_relaxed);
   slot.degraded_rows.fetch_add(os.degraded_rows, std::memory_order_relaxed);

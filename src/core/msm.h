@@ -95,6 +95,8 @@ struct MsmStats {
   // Basis-refactorization share of lp_simplex_seconds (the third LP phase
   // the obs layer reports: pricing / refactorize / pivoting).
   double lp_refactor_seconds = 0.0;
+  // Simplex solves retried from a cold start after numerical trouble.
+  int64_t lp_numerical_retries = 0;
   int64_t lp_violations_found = 0;
   // All-zero LP rows rewritten to identity rows (GeoInd-breaking; nonzero
   // only when options.opt.strict is disabled — strict builds fail
@@ -221,6 +223,7 @@ class MultiStepMechanism final : public mechanisms::Mechanism {
       std::atomic<double> lp_pricing_seconds{0.0};
       std::atomic<double> lp_simplex_seconds{0.0};
       std::atomic<double> lp_refactor_seconds{0.0};
+      std::atomic<int64_t> lp_numerical_retries{0};
       std::atomic<int64_t> lp_violations_found{0};
       std::atomic<int64_t> degraded_rows{0};
       std::atomic<int64_t> uniform_prior_fallbacks{0};

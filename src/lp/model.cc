@@ -22,8 +22,6 @@ std::string SolveStatusToString(SolveStatus status) {
       return "time_limit";
     case SolveStatus::kNumericalError:
       return "numerical_error";
-    case SolveStatus::kTooLarge:
-      return "too_large";
   }
   return "unknown";
 }

@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <vector>
 
-#include "base/check.h"
-#include "base/parallel_for.h"
 #include "base/stopwatch.h"
-#include "base/thread_pool.h"
+#include "lp/lu_factor.h"
 
 namespace geopriv::lp {
 
@@ -18,121 +15,144 @@ constexpr double kPivotTol = 1e-9;
 constexpr double kZeroTol = 1e-11;
 // Consecutive degenerate pivots before switching to Bland's rule.
 constexpr int kDegenerateLimit = 200;
-// Element operations below which a dense kernel runs inline: the fan-out
-// dispatch costs tens of microseconds, so only O(m^2) work on large bases
-// is worth shipping to the pool.
-constexpr size_t kMinParallelWork = size_t{1} << 17;
-
-struct SparseEntry {
-  int row;
-  double value;
-};
+// The pivot element is computed twice per basis change: from the FTRAN'd
+// entering column and from the BTRAN'd pivot row. A relative disagreement
+// beyond this means the factor has drifted; refactorize at once.
+constexpr double kPivotDriftTol = 1e-8;
 
 // Internal solver state for one Solve() call.
 class Core {
  public:
   Core(const Model& model, const SolverOptions& options)
-      : model_(model),
-        options_(options),
-        m_(model.num_constraints()),
-        pool_(options.pool),
-        parallelism_(EffectiveParallelism(options.pool, options.threads)) {}
+      : model_(model), options_(options), m_(model.num_constraints()) {}
 
   LpSolution Run(const Basis* warm, Basis* out_basis);
 
  private:
-  enum class StepResult { kOptimal, kUnbounded, kContinue, kSingular };
+  enum class StepResult { kOptimal, kUnbounded, kContinue };
 
   void BuildColumns();
-  bool ColdStart();
+  void AddArtificial(int row, double sign);
+  void ColdStart();
   bool TryWarmStart(const Basis& warm);
   bool Refactorize();
   void ComputeBasicValues();
-  StepResult Iterate(const std::vector<double>& cost, bool bland);
-  void ComputeDuals(const std::vector<double>& cost,
-                    std::vector<double>* pi) const;
+  void ComputeReducedCosts(const std::vector<double>& cost);
+  int ChooseEntering(bool bland) const;
+  double EnteringDirection(int j) const;
+  double ColumnDot(int j, const std::vector<double>& row_vector) const;
+  SolveStatus RunPhase(const std::vector<double>& cost);
+  StepResult Iterate(bool bland);
   double Objective(const std::vector<double>& cost) const;
+  void FillStats(LpSolution* result) const;
 
-  // Runs fn(lo, hi) over contiguous sub-ranges of [0, items), fanned
-  // across the options' pool when `work` (element operations) is large
-  // enough to amortize the dispatch; a single inline fn(0, items) call
-  // otherwise. Because chunks are contiguous and every output element is
-  // produced by exactly one chunk in its serial iteration order, the
-  // parallel result is bit-identical to the serial one.
-  template <typename Fn>
-  void ParallelRanges(int items, size_t work, const Fn& fn) const {
-    if (pool_ == nullptr || parallelism_ <= 1 || items <= 1 ||
-        work < kMinParallelWork) {
-      fn(0, items);
-      return;
-    }
-    const int chunks = std::min(items, parallelism_);
-    ParallelChunks(pool_, parallelism_, chunks, [&](int c) {
-      const int base = items / chunks;
-      const int rem = items % chunks;
-      const int lo = c * base + std::min(c, rem);
-      fn(lo, lo + base + (c < rem ? 1 : 0));
-    });
+  int NumVars() const { return static_cast<int>(col_start_.size()) - 1; }
+  // Rate at which moving nonbasic j off its bound improves the objective:
+  // -d_j at its lower bound, d_j at its upper, |d_j| when free, and 0 for
+  // basic and fixed variables (which never enter). Table-driven, so the
+  // per-pivot pricing pass does not branch on the status.
+  double Improvement(int j) const {
+    // max(kSignA[s] * d, kSignB[s] * d), indexed by VarStatus.
+    static constexpr double kSignA[4] = {-1.0, 1.0, 1.0, 0.0};
+    static constexpr double kSignB[4] = {-1.0, 1.0, -1.0, 0.0};
+    static_assert(static_cast<int>(VarStatus::kAtLower) == 0 &&
+                  static_cast<int>(VarStatus::kAtUpper) == 1 &&
+                  static_cast<int>(VarStatus::kFree) == 2 &&
+                  static_cast<int>(VarStatus::kBasic) == 3);
+    const int s = fixed_[j] ? 3 : static_cast<int>(status_[j]);
+    return std::max(kSignA[s] * d_[j], kSignB[s] * d_[j]);
   }
-
-  int NumVars() const { return static_cast<int>(cols_.size()); }
 
   const Model& model_;
   const SolverOptions& options_;
   const int m_;
-  ThreadPool* const pool_;
-  const int parallelism_;
-  int n_structural_ = 0;
   int n_slack_end_ = 0;  // structural + slack count (artificials follow)
 
-  std::vector<std::vector<SparseEntry>> cols_;
+  // Constraint matrix with one slack column per row (and phase-1
+  // artificials appended), column-major.
+  std::vector<int> col_start_;
+  std::vector<int> row_index_;
+  std::vector<double> value_;
   std::vector<double> lb_;
   std::vector<double> ub_;
+  std::vector<char> fixed_;  // lb == ub: never enters the basis
   std::vector<double> rhs_;
 
-  std::vector<int> basis_;          // var index basic in each row
+  std::vector<int> basis_;          // var index basic in each position
   std::vector<VarStatus> status_;   // per variable
   std::vector<double> x_;           // per variable
-  std::vector<double> binv_;        // m x m row-major B^{-1}
-  int pivots_since_refactor_ = 0;
+  LuFactor factor_;
   int iterations_ = 0;
   int refactorizations_ = 0;
   double refactor_seconds_ = 0.0;
   Stopwatch stopwatch_;
 
+  // Reduced costs d_j = c_j - pi' A_j (zero for basic variables), updated
+  // from the pivot row after every basis change and recomputed from fresh
+  // duals at every refactorization; the phase objective, updated by each
+  // step's d_q * delta x_q.
+  std::vector<double> d_;
+  double objective_ = 0.0;
+  // True while d_ and x_ come straight from a fresh factorization, i.e.
+  // no step has updated them incrementally since.
+  bool fresh_ = false;
+  // Set when the factor must be rebuilt before the next step (pivot drift,
+  // or an optimality claim awaiting confirmation).
+  bool refactor_due_ = false;
+  // Entering variable for the next step, chosen by the last pricing pass,
+  // and the rule it was chosen under.
+  int next_enter_ = -1;
+  bool next_bland_ = false;
+
   // Scratch buffers reused across iterations.
-  std::vector<double> pi_;
-  std::vector<double> w_;
+  std::vector<double> w_;    // FTRAN'd entering column (by basis position)
+  std::vector<double> rho_;  // BTRAN'd unit vector: pivot row of B^{-1}
   // Devex reference weights (Forrest-Goldfarb), one per variable. Reset to
-  // 1 on (re)factorization; grown multiplicatively on pivots. Pricing picks
-  // the eligible column maximizing d_j^2 / weight_j, which approximates
-  // steepest-edge at negligible cost and cuts the iteration count several
-  // fold on degenerate instances versus Dantzig pricing.
+  // 1 at the start of a solve; grown multiplicatively on pivots. Pricing
+  // picks the eligible column maximizing d_j^2 / weight_j, which
+  // approximates steepest-edge at negligible cost and cuts the iteration
+  // count several fold on degenerate instances versus Dantzig pricing.
   std::vector<double> devex_;
-  // Scratch for ComputeDuals: (row, basic cost) pairs in row order.
-  mutable std::vector<std::pair<int, double>> active_rows_;
 
   void ResetDevex() { devex_.assign(NumVars(), 1.0); }
 };
 
 void Core::BuildColumns() {
   const int n = model_.num_variables();
-  n_structural_ = n;
-  cols_.assign(n + m_, {});
-  lb_.resize(n + m_);
-  ub_.resize(n + m_);
+  n_slack_end_ = n + m_;
+  lb_.resize(n_slack_end_);
+  ub_.resize(n_slack_end_);
   rhs_.resize(m_);
   for (int j = 0; j < n; ++j) {
     lb_[j] = model_.lower_bound(j);
     ub_[j] = model_.upper_bound(j);
   }
+  // Count, then fill row by row, so each column's entries come out in row
+  // order and a variable repeated within one row merges into one entry.
+  col_start_.assign(n_slack_end_ + 1, 0);
+  for (int i = 0; i < m_; ++i) {
+    for (const Coefficient& t : model_.row(i)) ++col_start_[t.var + 1];
+    ++col_start_[n + i + 1];
+  }
+  for (int j = 0; j < n_slack_end_; ++j) col_start_[j + 1] += col_start_[j];
+  row_index_.resize(col_start_.back());
+  value_.resize(col_start_.back());
+  std::vector<int> fill(col_start_.begin(), col_start_.end() - 1);
   for (int i = 0; i < m_; ++i) {
     rhs_[i] = model_.rhs(i);
     for (const Coefficient& t : model_.row(i)) {
-      cols_[t.var].push_back({i, t.value});
+      int& q = fill[t.var];
+      if (q > col_start_[t.var] && row_index_[q - 1] == i) {
+        value_[q - 1] += t.value;
+        continue;
+      }
+      row_index_[q] = i;
+      value_[q] = t.value;
+      ++q;
     }
     const int slack = n + i;
-    cols_[slack].push_back({i, 1.0});
+    row_index_[fill[slack]] = i;
+    value_[fill[slack]++] = 1.0;
     switch (model_.constraint_sense(i)) {
       case ConstraintSense::kLessEqual:
         lb_[slack] = 0.0;
@@ -148,7 +168,38 @@ void Core::BuildColumns() {
         break;
     }
   }
-  n_slack_end_ = n + m_;
+  fixed_.resize(n_slack_end_);
+  for (int j = 0; j < n_slack_end_; ++j) fixed_[j] = lb_[j] == ub_[j];
+  // Squeeze out the slots that merged duplicates left unused.
+  int out = 0;
+  for (int j = 0; j < n_slack_end_; ++j) {
+    const int begin = col_start_[j];
+    col_start_[j] = out;
+    for (int q = begin; q < fill[j]; ++q) {
+      row_index_[out] = row_index_[q];
+      value_[out++] = value_[q];
+    }
+  }
+  col_start_[n_slack_end_] = out;
+  row_index_.resize(out);
+  value_.resize(out);
+}
+
+void Core::AddArtificial(int row, double sign) {
+  row_index_.push_back(row);
+  value_.push_back(sign);
+  col_start_.push_back(static_cast<int>(row_index_.size()));
+  lb_.push_back(0.0);
+  ub_.push_back(kInfinity);
+  fixed_.push_back(0);
+}
+
+double Core::ColumnDot(int j, const std::vector<double>& row_vector) const {
+  double sum = 0.0;
+  for (int p = col_start_[j]; p < col_start_[j + 1]; ++p) {
+    sum += row_vector[row_index_[p]] * value_[p];
+  }
+  return sum;
 }
 
 // Initial nonbasic value for a variable given its bounds.
@@ -164,10 +215,10 @@ VarStatus InitialStatus(double lb, double ub) {
   return VarStatus::kFree;
 }
 
-bool Core::ColdStart() {
-  const int n = n_structural_;
-  status_.assign(NumVars(), VarStatus::kAtLower);
-  x_.assign(NumVars(), 0.0);
+void Core::ColdStart() {
+  const int n = model_.num_variables();
+  status_.assign(n_slack_end_, VarStatus::kAtLower);
+  x_.assign(n_slack_end_, 0.0);
   for (int j = 0; j < n; ++j) {
     status_[j] = InitialStatus(lb_[j], ub_[j]);
     x_[j] = InitialValue(lb_[j], ub_[j]);
@@ -176,12 +227,11 @@ bool Core::ColdStart() {
   std::vector<double> residual(rhs_);
   for (int j = 0; j < n; ++j) {
     if (x_[j] == 0.0) continue;
-    for (const SparseEntry& e : cols_[j]) {
-      residual[e.row] -= e.value * x_[j];
+    for (int p = col_start_[j]; p < col_start_[j + 1]; ++p) {
+      residual[row_index_[p]] -= value_[p] * x_[j];
     }
   }
   basis_.assign(m_, -1);
-  binv_.assign(static_cast<size_t>(m_) * m_, 0.0);
   for (int i = 0; i < m_; ++i) {
     const int slack = n + i;
     const double r = residual[i];
@@ -190,7 +240,6 @@ bool Core::ColdStart() {
       basis_[i] = slack;
       status_[slack] = VarStatus::kBasic;
       x_[slack] = r;
-      binv_[static_cast<size_t>(i) * m_ + i] = 1.0;
     } else {
       // Park the slack at its nearest bound and cover the remainder with an
       // artificial variable.
@@ -200,19 +249,15 @@ bool Core::ColdStart() {
                            : VarStatus::kAtUpper;
       x_[slack] = v;
       const double rem = r - v;
-      const double sign = rem >= 0.0 ? 1.0 : -1.0;
-      cols_.push_back({{i, sign}});
-      lb_.push_back(0.0);
-      ub_.push_back(kInfinity);
+      AddArtificial(i, rem >= 0.0 ? 1.0 : -1.0);
       status_.push_back(VarStatus::kBasic);
       x_.push_back(std::abs(rem));
       basis_[i] = NumVars() - 1;
-      binv_[static_cast<size_t>(i) * m_ + i] = sign;  // diag(+-1) inverse
     }
   }
-  pivots_since_refactor_ = 0;
   ResetDevex();
-  return true;
+  // A slack/artificial basis is diagonal with +-1 entries: never singular.
+  Refactorize();
 }
 
 bool Core::TryWarmStart(const Basis& warm) {
@@ -251,6 +296,7 @@ bool Core::TryWarmStart(const Basis& warm) {
     status_[j] = s;
   }
   for (int i = 0; i < m_; ++i) status_[basis_[i]] = VarStatus::kBasic;
+  ResetDevex();
   if (!Refactorize()) return false;
   // The warm basis must be (near-)feasible; otherwise fall back to phase 1
   // from a cold start.
@@ -261,176 +307,100 @@ bool Core::TryWarmStart(const Basis& warm) {
   return true;
 }
 
-// Rebuilds binv_ from the current basis by Gauss-Jordan elimination with
-// partial pivoting, then recomputes the basic values. Returns false if the
-// basis matrix is numerically singular.
+// Factorizes the current basis afresh (dropping the eta file) and
+// recomputes the basic values from it. Returns false if the basis matrix
+// is numerically singular.
 bool Core::Refactorize() {
   const Stopwatch refactor_watch;
   ++refactorizations_;
-  std::vector<double> b(static_cast<size_t>(m_) * m_, 0.0);
-  for (int k = 0; k < m_; ++k) {
-    for (const SparseEntry& e : cols_[basis_[k]]) {
-      b[static_cast<size_t>(e.row) * m_ + k] = e.value;
-    }
-  }
-  binv_.assign(static_cast<size_t>(m_) * m_, 0.0);
-  for (int i = 0; i < m_; ++i) binv_[static_cast<size_t>(i) * m_ + i] = 1.0;
-  for (int col = 0; col < m_; ++col) {
-    int piv = col;
-    double best = std::abs(b[static_cast<size_t>(col) * m_ + col]);
-    for (int i = col + 1; i < m_; ++i) {
-      const double v = std::abs(b[static_cast<size_t>(i) * m_ + col]);
-      if (v > best) {
-        best = v;
-        piv = i;
-      }
-    }
-    if (best < 1e-12) return false;
-    if (piv != col) {
-      for (int k = 0; k < m_; ++k) {
-        std::swap(b[static_cast<size_t>(piv) * m_ + k],
-                  b[static_cast<size_t>(col) * m_ + k]);
-        std::swap(binv_[static_cast<size_t>(piv) * m_ + k],
-                  binv_[static_cast<size_t>(col) * m_ + k]);
-      }
-    }
-    const double inv = 1.0 / b[static_cast<size_t>(col) * m_ + col];
-    for (int k = 0; k < m_; ++k) {
-      b[static_cast<size_t>(col) * m_ + k] *= inv;
-      binv_[static_cast<size_t>(col) * m_ + k] *= inv;
-    }
-    // Eliminate the pivot column from every other row. Rows are
-    // independent (each reads only the pivot row), so they fan out across
-    // the pool on large bases; per-row arithmetic is unchanged, keeping
-    // the factorization bit-identical to the serial one.
-    const double* bcol = &b[static_cast<size_t>(col) * m_];
-    const double* icol = &binv_[static_cast<size_t>(col) * m_];
-    ParallelRanges(m_, static_cast<size_t>(m_) * m_, [&](int lo, int hi) {
-      for (int i = lo; i < hi; ++i) {
-        if (i == col) continue;
-        const double f = b[static_cast<size_t>(i) * m_ + col];
-        if (f == 0.0) continue;
-        double* brow = &b[static_cast<size_t>(i) * m_];
-        double* irow = &binv_[static_cast<size_t>(i) * m_];
-        for (int k = 0; k < m_; ++k) {
-          brow[k] -= f * bcol[k];
-          irow[k] -= f * icol[k];
-        }
-      }
-    });
-  }
-  ComputeBasicValues();
-  pivots_since_refactor_ = 0;
-  ResetDevex();
+  const bool ok = factor_.Factorize(m_, col_start_, row_index_, value_,
+                                    basis_);
+  if (ok) ComputeBasicValues();
   refactor_seconds_ += refactor_watch.ElapsedSeconds();
-  return true;
+  return ok;
 }
 
 void Core::ComputeBasicValues() {
-  std::vector<double> r(rhs_);
+  std::vector<double>& r = w_;
+  r.assign(rhs_.begin(), rhs_.end());
   for (int j = 0; j < NumVars(); ++j) {
     if (status_[j] == VarStatus::kBasic || x_[j] == 0.0) continue;
-    for (const SparseEntry& e : cols_[j]) r[e.row] -= e.value * x_[j];
-  }
-  // One independent row dot product per basic variable (basis_ entries are
-  // distinct, so the x_ writes are disjoint).
-  ParallelRanges(m_, static_cast<size_t>(m_) * m_, [&](int lo, int hi) {
-    for (int i = lo; i < hi; ++i) {
-      double v = 0.0;
-      const double* row = &binv_[static_cast<size_t>(i) * m_];
-      for (int k = 0; k < m_; ++k) v += row[k] * r[k];
-      x_[basis_[i]] = v;
+    for (int p = col_start_[j]; p < col_start_[j + 1]; ++p) {
+      r[row_index_[p]] -= value_[p] * x_[j];
     }
-  });
+  }
+  factor_.Ftran(&r);
+  for (int k = 0; k < m_; ++k) x_[basis_[k]] = r[k];
 }
 
-void Core::ComputeDuals(const std::vector<double>& cost,
-                        std::vector<double>* pi) const {
-  pi->assign(m_, 0.0);
-  // Rows whose basic variable carries a nonzero cost, in row order. Each
-  // dual component k then accumulates over these rows in that fixed order,
-  // so slicing the k range across threads changes nothing about any
-  // individual sum — parallel duals are bit-identical to serial ones.
-  active_rows_.clear();
-  for (int i = 0; i < m_; ++i) {
-    const double cb = basis_[i] < static_cast<int>(cost.size())
-                          ? cost[basis_[i]]
-                          : 0.0;
-    if (cb == 0.0) continue;
-    active_rows_.push_back({i, cb});
+// Fresh duals pi = B^{-T} c_B, reduced costs and phase objective from the
+// current factor, then a pricing pass for the next entering variable.
+void Core::ComputeReducedCosts(const std::vector<double>& cost) {
+  rho_.resize(m_);
+  for (int k = 0; k < m_; ++k) rho_[k] = cost[basis_[k]];
+  factor_.Btran(&rho_);
+  d_.resize(NumVars());
+  for (int j = 0; j < NumVars(); ++j) {
+    d_[j] = status_[j] == VarStatus::kBasic ? 0.0
+                                            : cost[j] - ColumnDot(j, rho_);
   }
-  double* out = pi->data();
-  ParallelRanges(m_, active_rows_.size() * m_, [&](int lo, int hi) {
-    for (const auto& [row_index, cb] : active_rows_) {
-      const double* row = &binv_[static_cast<size_t>(row_index) * m_];
-      for (int k = lo; k < hi; ++k) out[k] += cb * row[k];
+  objective_ = Objective(cost);
+  fresh_ = true;
+  next_enter_ = ChooseEntering(next_bland_);
+}
+
+// Direction the entering variable moves in: +1 up, -1 down.
+double Core::EnteringDirection(int j) const {
+  switch (status_[j]) {
+    case VarStatus::kAtLower:
+      return 1.0;
+    case VarStatus::kAtUpper:
+      return -1.0;
+    default:
+      return d_[j] < 0.0 ? 1.0 : -1.0;
+  }
+}
+
+// Pricing over the stored reduced costs: Bland's rule takes the first
+// improving index, devex the one maximizing d_j^2 / weight_j.
+int Core::ChooseEntering(bool bland) const {
+  int enter = -1;
+  double best_score = 0.0;
+  for (int j = 0; j < NumVars(); ++j) {
+    const double improvement = Improvement(j);
+    if (improvement <= options_.optimality_tolerance) continue;
+    if (bland) return j;
+    const double weighted = improvement * improvement / devex_[j];
+    if (weighted > best_score) {
+      best_score = weighted;
+      enter = j;
     }
-  });
+  }
+  return enter;
 }
 
 double Core::Objective(const std::vector<double>& cost) const {
   double obj = 0.0;
-  const int limit = std::min<int>(NumVars(), static_cast<int>(cost.size()));
-  for (int j = 0; j < limit; ++j) obj += cost[j] * x_[j];
+  for (int j = 0; j < NumVars(); ++j) obj += cost[j] * x_[j];
   return obj;
 }
 
-Core::StepResult Core::Iterate(const std::vector<double>& cost, bool bland) {
-  ComputeDuals(cost, &pi_);
-
-  // --- Pricing: pick the entering variable. ---
-  int enter = -1;
-  double enter_dir = 0.0;
-  if (devex_.size() != static_cast<size_t>(NumVars())) ResetDevex();
-  // Eligibility is decided by the reduced-cost tests below; the weighted
-  // score only ranks the eligible candidates, so any positive value wins.
-  double best_score = 0.0;
-  for (int j = 0; j < NumVars(); ++j) {
-    const VarStatus s = status_[j];
-    if (s == VarStatus::kBasic) continue;
-    if (lb_[j] == ub_[j]) continue;  // fixed variable can never improve
-    double cj = j < static_cast<int>(cost.size()) ? cost[j] : 0.0;
-    for (const SparseEntry& e : cols_[j]) cj -= pi_[e.row] * e.value;
-    double score = 0.0;
-    double dir = 0.0;
-    if (s == VarStatus::kAtLower && cj < -options_.optimality_tolerance) {
-      score = -cj;
-      dir = 1.0;
-    } else if (s == VarStatus::kAtUpper &&
-               cj > options_.optimality_tolerance) {
-      score = cj;
-      dir = -1.0;
-    } else if (s == VarStatus::kFree &&
-               std::abs(cj) > options_.optimality_tolerance) {
-      score = std::abs(cj);
-      dir = cj < 0.0 ? 1.0 : -1.0;
-    } else {
-      continue;
-    }
-    if (bland) {  // first eligible index
-      enter = j;
-      enter_dir = dir;
-      break;
-    }
-    // Devex-weighted score: favors directions with small projected norm.
-    const double weighted = score * score / devex_[j];
-    if (weighted > best_score) {
-      best_score = weighted;
-      enter = j;
-      enter_dir = dir;
-    }
+Core::StepResult Core::Iterate(bool bland) {
+  if (next_bland_ != bland) {
+    next_bland_ = bland;
+    next_enter_ = ChooseEntering(bland);
   }
+  const int enter = next_enter_;
   if (enter < 0) return StepResult::kOptimal;
+  const double enter_dir = EnteringDirection(enter);
+  fresh_ = false;
 
   // --- FTRAN: w = B^{-1} A_enter. ---
   w_.assign(m_, 0.0);
-  for (const SparseEntry& e : cols_[enter]) {
-    const double v = e.value;
-    const int r = e.row;
-    for (int i = 0; i < m_; ++i) {
-      w_[i] += binv_[static_cast<size_t>(i) * m_ + r] * v;
-    }
+  for (int p = col_start_[enter]; p < col_start_[enter + 1]; ++p) {
+    w_[row_index_[p]] = value_[p];
   }
+  factor_.Ftran(&w_);
 
   // --- Ratio test. ---
   // Entering moves by t >= 0 in direction enter_dir; basic i changes by
@@ -472,79 +442,132 @@ Core::StepResult Core::Iterate(const std::vector<double>& cost, bool bland) {
   }
   // Bound flip of the entering variable itself.
   const double own_range = ub_[enter] - lb_[enter];
-  const bool can_flip = std::isfinite(own_range);
-  if (can_flip && own_range <= t_best) {
-    // Flip: entering moves to its opposite bound; no basis change.
-    const double t = own_range;
-    for (int i = 0; i < m_; ++i) {
-      if (w_[i] != 0.0) x_[basis_[i]] -= enter_dir * t * w_[i];
-    }
-    x_[enter] += enter_dir * t;
-    status_[enter] = status_[enter] == VarStatus::kAtLower
-                         ? VarStatus::kAtUpper
-                         : VarStatus::kAtLower;
-    return StepResult::kContinue;
-  }
-  if (leave_row < 0) return StepResult::kUnbounded;
-
-  // --- Pivot: update values, basis, and the explicit inverse. ---
-  const double t = t_best;
+  const bool flip = std::isfinite(own_range) && own_range <= t_best;
+  if (!flip && leave_row < 0) return StepResult::kUnbounded;
+  const double t = flip ? own_range : t_best;
   for (int i = 0; i < m_; ++i) {
     if (w_[i] != 0.0) x_[basis_[i]] -= enter_dir * t * w_[i];
   }
   x_[enter] += enter_dir * t;
+  objective_ += d_[enter] * enter_dir * t;
+  if (flip) {
+    // Entering moves to its opposite bound; no basis change, so the
+    // reduced costs stand and only the choice of entering variable moves.
+    status_[enter] = status_[enter] == VarStatus::kAtLower
+                         ? VarStatus::kAtUpper
+                         : VarStatus::kAtLower;
+    next_enter_ = ChooseEntering(bland);
+    return StepResult::kContinue;
+  }
+
+  // --- Basis change: pivot row rho = e_r' B^{-1} from the old factor. ---
+  const double pivot = w_[leave_row];
+  rho_.assign(m_, 0.0);
+  rho_[leave_row] = 1.0;
+  factor_.Btran(&rho_);
+  const double pivot_from_row = ColumnDot(enter, rho_);
+  const bool drifted = std::abs(pivot_from_row - pivot) >
+                       kPivotDriftTol * (1.0 + std::abs(pivot));
+
   const int leaving = basis_[leave_row];
   x_[leaving] = leave_bound;
   status_[leaving] = leave_status;
   basis_[leave_row] = enter;
   status_[enter] = VarStatus::kBasic;
 
-  const double pivot = w_[leave_row];
-  if (std::abs(pivot) < kPivotTol) return StepResult::kSingular;
-  double* prow = &binv_[static_cast<size_t>(leave_row) * m_];
-  // --- Devex weight update (uses the pre-pivot row r of B^{-1}). ---
-  {
-    const double gamma_q = std::max(devex_[enter], 1.0);
-    const double inv_p2 = 1.0 / (pivot * pivot);
-    for (int j = 0; j < NumVars(); ++j) {
-      if (status_[j] == VarStatus::kBasic || lb_[j] == ub_[j]) continue;
-      double alpha = 0.0;
-      for (const SparseEntry& e : cols_[j]) alpha += prow[e.row] * e.value;
-      if (alpha == 0.0) continue;
-      const double candidate = alpha * alpha * inv_p2 * gamma_q;
-      if (candidate > devex_[j]) devex_[j] = candidate;
+  // --- One pass over the pivot row alpha_j = rho' A_j: reduced-cost
+  // update d_j -= theta * alpha_j, devex weight update, and pricing of the
+  // next entering variable. ---
+  const double theta = d_[enter] / pivot;
+  const double gamma_q = std::max(devex_[enter], 1.0);
+  const double inv_p2 = 1.0 / (pivot * pivot);
+  const double devex_scale = inv_p2 * gamma_q;
+  const double tol = options_.optimality_tolerance;
+  int best = -1;
+  double best_score = 0.0;  // largest improvement^2 / devex so far
+  for (int j = 0; j < NumVars(); ++j) {
+    if (j == leaving) continue;
+    // Basic columns ride along instead of being branched around: their
+    // alpha_j is 0 up to rounding (the entering one's is reset below),
+    // and Improvement() keeps them out of the choice.
+    const double alpha = ColumnDot(j, rho_);
+    d_[j] -= theta * alpha;
+    devex_[j] = std::max(devex_[j], alpha * alpha * devex_scale);
+    const double improvement = Improvement(j);
+    const double square = improvement > tol ? improvement * improvement : 0.0;
+    if (square > best_score * devex_[j]) {
+      best_score = square / devex_[j];
+      best = j;
     }
-    devex_[leaving] = std::max(gamma_q * inv_p2, 1.0);
-    devex_[enter] = 1.0;
-    // Guard against unbounded weight growth.
-    if (devex_[leaving] > 1e12) ResetDevex();
   }
-  const double inv_pivot = 1.0 / pivot;
-  for (int k = 0; k < m_; ++k) prow[k] *= inv_pivot;
-  // Rank-1 inverse update: every row i != leave_row subtracts its own
-  // multiple of the (now scaled, read-only) pivot row — the per-iteration
-  // O(m^2) hot spot, and embarrassingly row-parallel.
-  ParallelRanges(m_, static_cast<size_t>(m_) * m_, [&](int lo, int hi) {
-    for (int i = lo; i < hi; ++i) {
-      if (i == leave_row) continue;
-      const double f = w_[i];
-      if (f == 0.0) continue;
-      double* row = &binv_[static_cast<size_t>(i) * m_];
-      for (int k = 0; k < m_; ++k) row[k] -= f * prow[k];
-    }
-  });
-  ++pivots_since_refactor_;
+  d_[enter] = 0.0;
+  devex_[enter] = 1.0;
+  d_[leaving] = -theta;
+  devex_[leaving] = std::max(gamma_q * inv_p2, 1.0);
+  const double improvement = Improvement(leaving);
+  if (improvement > tol &&
+      improvement * improvement > best_score * devex_[leaving]) {
+    best = leaving;
+  }
+  next_enter_ = best;
+  // Guard against unbounded weight growth; Bland's rule prices on its own.
+  if (devex_[leaving] > 1e12) {
+    ResetDevex();
+    next_enter_ = ChooseEntering(bland);
+  } else if (bland) {
+    next_enter_ = ChooseEntering(bland);
+  }
+
+  factor_.Update(leave_row, w_);
+  if (drifted) refactor_due_ = true;
   return StepResult::kContinue;
+}
+
+SolveStatus Core::RunPhase(const std::vector<double>& cost) {
+  ComputeReducedCosts(cost);
+  double prev_obj = kInfinity;
+  int degenerate = 0;
+  bool bland = false;
+  while (true) {
+    if (iterations_ >= options_.max_iterations) {
+      return SolveStatus::kIterationLimit;
+    }
+    if ((iterations_ & 63) == 0 &&
+        stopwatch_.ElapsedSeconds() > options_.time_limit_seconds) {
+      return SolveStatus::kTimeLimit;
+    }
+    if (refactor_due_ ||
+        factor_.num_updates() >= options_.refactorization_interval) {
+      refactor_due_ = false;
+      if (!Refactorize()) return SolveStatus::kNumericalError;
+      ComputeReducedCosts(cost);
+    }
+    const StepResult sr = Iterate(bland);
+    if (sr == StepResult::kOptimal) {
+      if (fresh_) return SolveStatus::kOptimal;
+      // Confirm against a fresh factor, basic values and reduced costs
+      // before accepting: the incremental updates may have drifted.
+      refactor_due_ = true;
+      continue;
+    }
+    ++iterations_;
+    if (sr == StepResult::kUnbounded) return SolveStatus::kUnbounded;
+    degenerate = objective_ >= prev_obj - 1e-12 ? degenerate + 1 : 0;
+    prev_obj = objective_;
+    if (degenerate > kDegenerateLimit) bland = true;
+  }
+}
+
+void Core::FillStats(LpSolution* result) const {
+  result->iterations = iterations_;
+  result->solve_seconds = stopwatch_.ElapsedSeconds();
+  result->refactorizations = refactorizations_;
+  result->refactor_seconds = refactor_seconds_;
 }
 
 LpSolution Core::Run(const Basis* warm, Basis* out_basis) {
   LpSolution result;
   const int n = model_.num_variables();
-
-  if (m_ > options_.max_basis_rows) {
-    result.status = SolveStatus::kTooLarge;
-    return result;
-  }
 
   BuildColumns();
 
@@ -574,69 +597,36 @@ LpSolution Core::Run(const Basis* warm, Basis* out_basis) {
     return result;
   }
 
-  bool warm_ok = warm != nullptr && !warm->empty() && TryWarmStart(*warm);
+  const bool warm_ok =
+      warm != nullptr && !warm->empty() && TryWarmStart(*warm);
   if (!warm_ok) ColdStart();
 
   const double sgn = model_.sense() == ObjectiveSense::kMinimize ? 1.0 : -1.0;
 
   // Phase 1 (only when artificials exist): minimize their sum.
-  const bool need_phase1 = NumVars() > n_slack_end_;
-  if (need_phase1) {
+  if (NumVars() > n_slack_end_) {
     std::vector<double> cost1(NumVars(), 0.0);
     for (int j = n_slack_end_; j < NumVars(); ++j) cost1[j] = 1.0;
-    int degenerate = 0;
-    bool bland = false;
-    double prev_obj1 = kInfinity;
-    while (true) {
-      if (iterations_ >= options_.max_iterations) {
-        result.status = SolveStatus::kIterationLimit;
-        return result;
-      }
-      if ((iterations_ & 63) == 0 &&
-          stopwatch_.ElapsedSeconds() > options_.time_limit_seconds) {
-        result.status = SolveStatus::kTimeLimit;
-        result.iterations = iterations_;
-        result.solve_seconds = stopwatch_.ElapsedSeconds();
-        result.refactorizations = refactorizations_;
-        result.refactor_seconds = refactor_seconds_;
-        return result;
-      }
-      if (pivots_since_refactor_ >= options_.refactorization_interval) {
-        if (!Refactorize()) {
-          result.status = SolveStatus::kNumericalError;
-          return result;
-        }
-      }
-      const StepResult sr = Iterate(cost1, bland);
-      ++iterations_;
-      if (sr == StepResult::kOptimal) break;
-      if (sr == StepResult::kSingular) {
-        result.status = SolveStatus::kNumericalError;
-        return result;
-      }
-      if (sr == StepResult::kUnbounded) {
-        // Phase 1 objective is bounded below by zero; this is numerical.
-        result.status = SolveStatus::kNumericalError;
-        return result;
-      }
-      // Track objective stalls for anti-cycling.
-      const double obj1 = Objective(cost1);
-      degenerate = obj1 >= prev_obj1 - 1e-12 ? degenerate + 1 : 0;
-      prev_obj1 = obj1;
-      if (degenerate > kDegenerateLimit) bland = true;
+    SolveStatus phase1 = RunPhase(cost1);
+    // Phase 1 is bounded below by zero; unboundedness is numerical.
+    if (phase1 == SolveStatus::kUnbounded) {
+      phase1 = SolveStatus::kNumericalError;
+    }
+    if (phase1 != SolveStatus::kOptimal) {
+      result.status = phase1;
+      FillStats(&result);
+      return result;
     }
     if (Objective(cost1) > 1e-6) {
       result.status = SolveStatus::kInfeasible;
-      result.iterations = iterations_;
-      result.solve_seconds = stopwatch_.ElapsedSeconds();
-      result.refactorizations = refactorizations_;
-      result.refactor_seconds = refactor_seconds_;
+      FillStats(&result);
       return result;
     }
     // Freeze artificials at zero so they never re-enter.
     for (int j = n_slack_end_; j < NumVars(); ++j) {
       lb_[j] = 0.0;
       ub_[j] = 0.0;
+      fixed_[j] = 1;
       if (status_[j] != VarStatus::kBasic) {
         status_[j] = VarStatus::kAtLower;
         x_[j] = 0.0;
@@ -649,67 +639,22 @@ LpSolution Core::Run(const Basis* warm, Basis* out_basis) {
   for (int j = 0; j < n; ++j) {
     cost2[j] = sgn * model_.objective_coefficient(j);
   }
-  double prev_obj = kInfinity;
-  int degenerate = 0;
-  bool bland = false;
-  while (true) {
-    if (iterations_ >= options_.max_iterations) {
-      result.status = SolveStatus::kIterationLimit;
-      break;
-    }
-    if ((iterations_ & 63) == 0 &&
-        stopwatch_.ElapsedSeconds() > options_.time_limit_seconds) {
-      result.status = SolveStatus::kTimeLimit;
-      break;
-    }
-    if (pivots_since_refactor_ >= options_.refactorization_interval) {
-      if (!Refactorize()) {
-        result.status = SolveStatus::kNumericalError;
-        break;
-      }
-    }
-    const StepResult sr = Iterate(cost2, bland);
-    ++iterations_;
-    if (sr == StepResult::kOptimal) {
-      // Refactorize once more for clean final values and duals.
-      if (!Refactorize()) {
-        result.status = SolveStatus::kNumericalError;
-        break;
-      }
-      result.status = SolveStatus::kOptimal;
-      break;
-    }
-    if (sr == StepResult::kUnbounded) {
-      result.status = SolveStatus::kUnbounded;
-      break;
-    }
-    if (sr == StepResult::kSingular) {
-      result.status = SolveStatus::kNumericalError;
-      break;
-    }
-    const double obj = Objective(cost2);
-    degenerate = obj >= prev_obj - 1e-12 ? degenerate + 1 : 0;
-    prev_obj = obj;
-    if (degenerate > kDegenerateLimit) bland = true;
-  }
+  result.status = RunPhase(cost2);
 
-  result.iterations = iterations_;
-  result.solve_seconds = stopwatch_.ElapsedSeconds();
-  result.refactorizations = refactorizations_;
-  result.refactor_seconds = refactor_seconds_;
-  result.x.assign(n, 0.0);
-  for (int j = 0; j < n; ++j) result.x[j] = x_[j];
+  FillStats(&result);
+  result.x.assign(x_.begin(), x_.begin() + n);
   result.objective = 0.0;
   for (int j = 0; j < n; ++j) {
     result.objective += model_.objective_coefficient(j) * x_[j];
   }
   if (result.status == SolveStatus::kOptimal) {
     // Duals with respect to the model's own objective coefficients.
-    std::vector<double> orig_cost(NumVars(), 0.0);
-    for (int j = 0; j < n; ++j) {
-      orig_cost[j] = model_.objective_coefficient(j);
+    result.duals.resize(m_);
+    for (int k = 0; k < m_; ++k) {
+      result.duals[k] =
+          basis_[k] < n ? model_.objective_coefficient(basis_[k]) : 0.0;
     }
-    ComputeDuals(orig_cost, &result.duals);
+    factor_.Btran(&result.duals);
     if (out_basis != nullptr) {
       out_basis->basic = basis_;
       out_basis->status.assign(status_.begin(),
@@ -733,9 +678,11 @@ LpSolution RevisedSimplex::Solve(const Model& model,
   // from a cold start with frequent refactorization.
   SolverOptions retry = options;
   retry.refactorization_interval =
-      std::min(retry.refactorization_interval, 256);
+      std::min(retry.refactorization_interval, 16);
   Core core(model, retry);
-  return core.Run(nullptr, out_basis);
+  LpSolution result = core.Run(nullptr, out_basis);
+  result.numerical_retries = 1;
+  return result;
 }
 
 }  // namespace geopriv::lp

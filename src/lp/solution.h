@@ -7,10 +7,6 @@
 #include <string>
 #include <vector>
 
-namespace geopriv {
-class ThreadPool;
-}
-
 namespace geopriv::lp {
 
 enum class SolveStatus {
@@ -20,9 +16,6 @@ enum class SolveStatus {
   kIterationLimit,
   kTimeLimit,
   kNumericalError,
-  // The instance needs a dense basis inverse larger than
-  // SolverOptions::max_basis_rows allows.
-  kTooLarge,
 };
 
 std::string SolveStatusToString(SolveStatus status);
@@ -34,28 +27,11 @@ struct SolverOptions {
   int max_iterations = 1000000;
   double feasibility_tolerance = 1e-8;
   double optimality_tolerance = 1e-8;
-  // Simplex: rebuild the basis inverse from scratch every this many pivots
-  // to bound accumulated floating-point error. Product-form updates are
-  // stable on the well-scaled bases this library produces, so the default
-  // refactorizes rarely; lower it for ill-conditioned models.
-  int refactorization_interval = 2000;
-  // Upper bound on the basis dimension: the revised simplex keeps a dense
-  // m x m inverse, so memory grows quadratically with the row count. The
-  // default caps that matrix at ~1.2 GB; instances beyond it return
-  // kTooLarge instead of exhausting memory.
-  int max_basis_rows = 12000;
-  // Optional worker pool for the dense O(m^2)/O(m^3) kernels (basis
-  // refactorization, rank-1 inverse updates, duals, basic values). The
-  // solver never blocks on the pool — helpers are recruited non-blockingly
-  // and the solving thread participates — so a null or busy pool just
-  // means serial, and it is safe to Solve() from one of the pool's own
-  // workers. Parallel and serial runs are bit-identical: every output
-  // element keeps its serial accumulation order. Not owned; must outlive
-  // the Solve() call.
-  ThreadPool* pool = nullptr;
-  // Total solver threads (pool helpers + the solving thread); 0 = pool
-  // size + 1.
-  int threads = 0;
+  // Simplex: refactorize the basis (a fresh sparse LU) after this many
+  // eta updates, bounding the eta file's length and its rounding drift.
+  // The reduced costs, updated incrementally between refactorizations, are
+  // recomputed from fresh duals at each one.
+  int refactorization_interval = 100;
 };
 
 struct LpSolution {
@@ -74,6 +50,9 @@ struct LpSolution {
   // pivoting phases.
   int refactorizations = 0;
   double refactor_seconds = 0.0;
+  // 1 when the solve hit numerical trouble (a singular refactorization)
+  // and this result comes from the solver's one cold-start retry.
+  int numerical_retries = 0;
 
   bool optimal() const { return status == SolveStatus::kOptimal; }
 };

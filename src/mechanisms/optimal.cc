@@ -29,9 +29,6 @@ Status MapSolverFailure(lp::SolveStatus status) {
       return Status::DeadlineExceeded("LP solver hit its time limit");
     case lp::SolveStatus::kIterationLimit:
       return Status::ResourceExhausted("LP solver hit its iteration limit");
-    case lp::SolveStatus::kTooLarge:
-      return Status::ResourceExhausted(
-          "instance exceeds the solver's dense-basis size cap");
     default:
       return Status::Internal("LP solver failed: " +
                               lp::SolveStatusToString(status));
@@ -268,12 +265,6 @@ Status OptimalMechanism::SolveColumnGeneration(
   lp::Basis basis;
   lp::LpSolution sol;
   lp::SolverOptions solver_options = options.solver;
-  // Let the simplex dense kernels share the construction pool unless the
-  // caller wired a solver pool explicitly.
-  if (solver_options.pool == nullptr) {
-    solver_options.pool = pool;
-    solver_options.threads = options.pricing_threads;
-  }
   const double time_limit = options.solver.time_limit_seconds;
   for (int round = 0; round < options.max_rounds; ++round) {
     ++stats_.rounds;
@@ -291,6 +282,7 @@ Status OptimalMechanism::SolveColumnGeneration(
     stats_.simplex_seconds += sol.solve_seconds;
     stats_.refactorizations += sol.refactorizations;
     stats_.refactor_seconds += sol.refactor_seconds;
+    stats_.numerical_retries += sol.numerical_retries;
 
     // The duals of the restricted dual are the optimal primal K of the
     // restricted primal. Price all not-yet-generated GeoInd constraints.
@@ -438,6 +430,7 @@ Status OptimalMechanism::SolveFullPrimal(
   stats_.simplex_seconds = sol.solve_seconds;
   stats_.refactorizations = sol.refactorizations;
   stats_.refactor_seconds = sol.refactor_seconds;
+  stats_.numerical_retries = sol.numerical_retries;
   GEOPRIV_RETURN_IF_ERROR(FinalizeMatrix(sol.x, options.strict));
   stats_.solve_seconds = stopwatch.ElapsedSeconds();
   stats_.objective = 0.0;

@@ -60,9 +60,9 @@ struct OptimalMechanismOptions {
   // pricing pass).
   int seed_nearest_neighbors = 8;
   // Parallel construction. When set, the cost/exp-distance tables, the
-  // O(n^3) pricing scan (partitioned by z-slice), the row samplers, and
-  // the simplex dense kernels all fan out across this pool, with the
-  // calling thread participating. Construction never blocks on the pool
+  // O(n^3) pricing scan (partitioned by z-slice) and the row samplers fan
+  // out across this pool, with the calling thread participating (the
+  // simplex itself runs on the calling thread). Construction never blocks on the pool
   // (a busy or shut-down pool just lowers the effective parallelism, so
   // it is safe to Create() from one of the pool's own workers), and a
   // parallel run is bit-identical to a serial one: pricing slices merge
@@ -94,6 +94,9 @@ struct OptSolveStats {
   // share (the obs layer's third LP phase alongside pricing and pivoting).
   int refactorizations = 0;
   double refactor_seconds = 0.0;
+  // Simplex solves that hit numerical trouble and were retried from a cold
+  // start (each retry's result is the one used).
+  int numerical_retries = 0;
   // Violated GeoInd constraints seen across all pricing rounds (every one
   // of them entered the dual as a column unless columns_per_round capped
   // the round).

@@ -292,7 +292,7 @@ TEST(ExpositionGoldenTest, ServiceScrapeWithTracingShardsAndAudit) {
   ASSERT_TRUE((*service)->AuditRegionNow("austin").ok());
 
   EXPECT_EQ(MaskJson((*service)->MetricsJson(), kTimedJsonKeys),
-            R"GOLDEN({"service":{"requests_total":33,"requests_ok":33,"requests_rejected":0,"requests_failed":0,"fallbacks_total":0,"fallbacks_deadline":0,"fallbacks_mechanism":0,"deadline_overruns":0,"latency_count":33,"latency_p50_ms":#,"latency_p90_ms":#,"latency_p99_ms":#,"latency_mean_ms":#,"latency_sum_seconds":#,"latency_bucket_le_s":[1e-06,2e-06,4e-06,8e-06,1.6e-05,3.2e-05,6.4e-05,0.000128,0.000256,0.000512,0.001024,0.002048,0.004096,0.008192,0.016384,0.032768,0.065536,0.131072,0.262144,0.524288,1.048576,2.097152,4.194304,8.388608,16.777216,33.554432,67.108864,134.217728],"latency_buckets_cumulative":#,"bundle_loads":2,"bundle_load_seconds":#,"bundle_bytes_mapped":7080,"plan_warm_at_startup":2,"audit_runs":1,"audit_nodes_audited":1,"audit_skipped_nodes":0,"audit_drift_events":0,"audit_tasks_rejected":0,"audit_baseline_errors":0,"audit_seconds":#},"snapshot_epoch":2,"trace":{"enabled":1,"sample_one_in":1,"requests_started":34,"requests_retained":34,"requests_forced":0,"spans_committed":133,"spans_dropped":0},"regions":{"aus\"tin\\2\n":{"eps":1.200000,"height":1,"leaf_cells_per_axis":2,"lp_solves":0,"lp_seconds":#,"lp_pricing_seconds":#,"lp_simplex_seconds":#,"lp_refactor_seconds":#,"lp_violations":0,"degraded_rows":0,"uniform_prior_fallbacks":0,"cache_hits":0,"cache_size":1,"cache_bytes_resident":608,"cache_byte_budget":0,"cache_evictions":0,"cache_hit_rate":0.000000,"prewarmed_nodes":1,"singleflight_waits":0,"plan_builds":1,"plan_levels":9,"fallthrough_levels":0,"bundle_bytes_mapped":3540,"plan_warm_at_startup":1,"audit_runs":0,"audit_expected_loss_euclidean":0,"audit_expected_loss_squared":0,"audit_adversary_error":0,"audit_conditional_entropy_bits":0,"audit_worst_case_loss":0,"audit_min_slack":0,"audit_max_violation":0,"audit_audited_nodes":0,"audit_skipped_nodes":0,"audit_drift_events":0},"austin":{"eps":1.200000,"height":1,"leaf_cells_per_axis":2,"lp_solves":0,"lp_seconds":#,"lp_pricing_seconds":#,"lp_simplex_seconds":#,"lp_refactor_seconds":#,"lp_violations":0,"degraded_rows":0,"uniform_prior_fallbacks":0,"cache_hits":0,"cache_size":1,"cache_bytes_resident":608,"cache_byte_budget":0,"cache_evictions":0,"cache_hit_rate":0.000000,"prewarmed_nodes":1,"singleflight_waits":0,"plan_builds":1,"plan_levels":24,"fallthrough_levels":0,"bundle_bytes_mapped":3540,"plan_warm_at_startup":1,"audit_runs":1,"audit_expected_loss_euclidean":0.343675848,"audit_expected_loss_squared":0.201511964,"audit_adversary_error":0.343675848,"audit_conditional_entropy_bits":1.89796533,"audit_worst_case_loss":0.414469612,"audit_min_slack":-1.11022302e-16,"audit_max_violation":1.11022302e-16,"audit_audited_nodes":1,"audit_skipped_nodes":0,"audit_drift_events":0}},"shards":{"num_shards":4,"vnodes_per_shard":64,"requests":[0,9,0,24],"requests_total":33,"shard_imbalance_ratio":2.909091}})GOLDEN");
+            R"GOLDEN({"service":{"requests_total":33,"requests_ok":33,"requests_rejected":0,"requests_failed":0,"fallbacks_total":0,"fallbacks_deadline":0,"fallbacks_mechanism":0,"deadline_overruns":0,"latency_count":33,"latency_p50_ms":#,"latency_p90_ms":#,"latency_p99_ms":#,"latency_mean_ms":#,"latency_sum_seconds":#,"latency_bucket_le_s":[1e-06,2e-06,4e-06,8e-06,1.6e-05,3.2e-05,6.4e-05,0.000128,0.000256,0.000512,0.001024,0.002048,0.004096,0.008192,0.016384,0.032768,0.065536,0.131072,0.262144,0.524288,1.048576,2.097152,4.194304,8.388608,16.777216,33.554432,67.108864,134.217728],"latency_buckets_cumulative":#,"bundle_loads":2,"bundle_load_seconds":#,"bundle_bytes_mapped":7080,"plan_warm_at_startup":2,"audit_runs":1,"audit_nodes_audited":1,"audit_skipped_nodes":0,"audit_drift_events":0,"audit_tasks_rejected":0,"audit_baseline_errors":0,"audit_seconds":#},"snapshot_epoch":2,"trace":{"enabled":1,"sample_one_in":1,"requests_started":34,"requests_retained":34,"requests_forced":0,"spans_committed":133,"spans_dropped":0},"regions":{"aus\"tin\\2\n":{"eps":1.200000,"height":1,"leaf_cells_per_axis":2,"lp_solves":0,"lp_seconds":#,"lp_pricing_seconds":#,"lp_simplex_seconds":#,"lp_refactor_seconds":#,"lp_violations":0,"degraded_rows":0,"uniform_prior_fallbacks":0,"cache_hits":0,"cache_size":1,"cache_bytes_resident":608,"cache_byte_budget":0,"cache_evictions":0,"cache_hit_rate":0.000000,"prewarmed_nodes":1,"singleflight_waits":0,"plan_builds":1,"plan_levels":9,"fallthrough_levels":0,"bundle_bytes_mapped":3540,"plan_warm_at_startup":1,"audit_runs":0,"audit_expected_loss_euclidean":0,"audit_expected_loss_squared":0,"audit_adversary_error":0,"audit_conditional_entropy_bits":0,"audit_worst_case_loss":0,"audit_min_slack":0,"audit_max_violation":0,"audit_audited_nodes":0,"audit_skipped_nodes":0,"audit_drift_events":0},"austin":{"eps":1.200000,"height":1,"leaf_cells_per_axis":2,"lp_solves":0,"lp_seconds":#,"lp_pricing_seconds":#,"lp_simplex_seconds":#,"lp_refactor_seconds":#,"lp_violations":0,"degraded_rows":0,"uniform_prior_fallbacks":0,"cache_hits":0,"cache_size":1,"cache_bytes_resident":608,"cache_byte_budget":0,"cache_evictions":0,"cache_hit_rate":0.000000,"prewarmed_nodes":1,"singleflight_waits":0,"plan_builds":1,"plan_levels":24,"fallthrough_levels":0,"bundle_bytes_mapped":3540,"plan_warm_at_startup":1,"audit_runs":1,"audit_expected_loss_euclidean":0.343675848,"audit_expected_loss_squared":0.201511964,"audit_adversary_error":0.343675848,"audit_conditional_entropy_bits":1.89796533,"audit_worst_case_loss":0.414469612,"audit_min_slack":-2.77555756e-17,"audit_max_violation":2.77555756e-17,"audit_audited_nodes":1,"audit_skipped_nodes":0,"audit_drift_events":0}},"shards":{"num_shards":4,"vnodes_per_shard":64,"requests":[0,9,0,24],"requests_total":33,"shard_imbalance_ratio":2.909091}})GOLDEN");
   const std::string text = (*service)->MetricsText();
   ExpectWellFormedPrometheus(text);
   EXPECT_EQ(MaskProm(text, kTimedPromNames),
@@ -441,10 +441,10 @@ geopriv_region_audit_worst_case_loss{region="aus\"tin\\2\n"} 0
 geopriv_region_audit_worst_case_loss{region="austin"} 0.414469612
 # TYPE geopriv_region_audit_min_slack gauge
 geopriv_region_audit_min_slack{region="aus\"tin\\2\n"} 0
-geopriv_region_audit_min_slack{region="austin"} -1.11022302e-16
+geopriv_region_audit_min_slack{region="austin"} -2.77555756e-17
 # TYPE geopriv_region_audit_max_violation gauge
 geopriv_region_audit_max_violation{region="aus\"tin\\2\n"} 0
-geopriv_region_audit_max_violation{region="austin"} 1.11022302e-16
+geopriv_region_audit_max_violation{region="austin"} 2.77555756e-17
 # TYPE geopriv_region_audit_audited_nodes gauge
 geopriv_region_audit_audited_nodes{region="aus\"tin\\2\n"} 0
 geopriv_region_audit_audited_nodes{region="austin"} 1

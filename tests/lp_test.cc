@@ -426,18 +426,48 @@ TEST(ModelTest, ValidateRejectsNonFiniteRhs) {
   EXPECT_FALSE(m.Validate().ok());
 }
 
-TEST(SimplexTest, OversizedInstanceReportsTooLarge) {
-  // The dense basis inverse grows as rows^2; instances beyond the cap must
-  // fail fast instead of attempting a hundred-gigabyte allocation.
-  Model m;
-  const int x = m.AddVariable(0.0, 1.0, 1.0);
-  for (int i = 0; i < 100; ++i) {
-    m.AddConstraint(ConstraintSense::kLessEqual, 1.0, {{x, 1.0}});
+TEST(SimplexTest, ManyRowsSolveWithoutDenseBasis) {
+  // 20,000 rows: a dense m x m basis inverse would need 3.2 GB. The sparse
+  // LU factor of this (diagonal-plus-one-column) basis is tiny, so the
+  // instance simply solves.
+  Model m(ObjectiveSense::kMaximize);
+  const int x = m.AddVariable(0.0, 2.0, 1.0);
+  for (int i = 0; i < 20000; ++i) {
+    m.AddConstraint(ConstraintSense::kLessEqual, 1.0 + 1e-3 * i, {{x, 1.0}});
   }
-  SolverOptions o;
-  o.max_basis_rows = 50;
-  const LpSolution sol = RevisedSimplex::Solve(m, o);
-  EXPECT_EQ(sol.status, SolveStatus::kTooLarge);
+  const LpSolution sol = RevisedSimplex::Solve(m, DefaultOptions());
+  ASSERT_TRUE(sol.optimal()) << SolveStatusToString(sol.status);
+  EXPECT_NEAR(sol.objective, 1.0, 1e-12);
+  EXPECT_NEAR(sol.duals[0], 1.0, 1e-12);
+}
+
+TEST(SimplexTest, SingularRefactorizationRetriesColdAndCounts) {
+  // max 2x + 3y over two nearly parallel rows. From the warm basis {x, s2}
+  // the first pivot (y in, s2 out, pivot 1e-7) reaches the basis
+  // [[1e-7, 1e-7], [1, 1 + 1e-7]], whose determinant 1e-14 leaves a
+  // sub-1e-12 pivot after elimination: refactorizing it (interval 1) fails,
+  // and the solver retries from a cold start, which reaches the optimum
+  // along another path and reports the retry.
+  Model m(ObjectiveSense::kMaximize);
+  const int x = m.AddVariable(0.0, kInfinity, 2.0);
+  const int y = m.AddVariable(0.0, kInfinity, 3.0);
+  m.AddConstraint(ConstraintSense::kLessEqual, 1e-8, {{x, 1e-7}, {y, 1e-7}});
+  m.AddConstraint(ConstraintSense::kLessEqual, 0.1 + 1e-9,
+                  {{x, 1.0}, {y, 1.0 + 1e-7}});
+  Basis warm;
+  warm.basic = {x, 3};  // x in row 0, the slack of row 1 in row 1
+  warm.status = {VarStatus::kBasic, VarStatus::kAtLower, VarStatus::kAtLower,
+                 VarStatus::kBasic};
+  SolverOptions o = DefaultOptions();
+  o.refactorization_interval = 1;
+  const LpSolution sol = RevisedSimplex::Solve(m, o, &warm);
+  EXPECT_EQ(sol.numerical_retries, 1);
+  ASSERT_TRUE(sol.optimal()) << SolveStatusToString(sol.status);
+  EXPECT_NEAR(sol.objective, 3.0 * (0.1 + 1e-9) / (1.0 + 1e-7), 1e-9);
+
+  const LpSolution cold = RevisedSimplex::Solve(m, o);
+  EXPECT_EQ(cold.numerical_retries, 0);
+  EXPECT_NEAR(cold.objective, sol.objective, 1e-12);
 }
 
 TEST(SimplexTest, TimeLimitReported) {

@@ -160,6 +160,35 @@ TEST(ParallelChunksTest, SafeFromPoolWorker) {
   pool.Shutdown();
 }
 
+TEST(ParallelChunksTest, OwnWorkerOfOneThreadPoolQueuesNothing) {
+  // The caller is the pool's only worker: it counts once, so there is no
+  // other thread to help and no helper task may land on the queue (where
+  // it would sit behind the caller's own work until after the call).
+  ThreadPool pool(1, 8);
+  int parallelism = 0;
+  size_t depth_default = 1;
+  size_t depth_requested = 1;
+  std::atomic<int> hits{0};
+  std::atomic<bool> done{false};
+  pool.Submit([&](int) {
+    parallelism = EffectiveParallelism(&pool, 0);
+    ParallelChunks(&pool, parallelism, 8, [&](int) { hits.fetch_add(1); });
+    depth_default = pool.queue_depth();
+    ParallelChunks(&pool, 4, 8, [&](int) { hits.fetch_add(1); });
+    depth_requested = pool.queue_depth();
+    done.store(true);
+  });
+  while (!done.load()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(parallelism, 1);
+  EXPECT_EQ(depth_default, 0u);
+  EXPECT_EQ(depth_requested, 0u);
+  EXPECT_EQ(hits.load(), 16);
+  EXPECT_EQ(EffectiveParallelism(&pool, 0), 2);  // outside: worker + caller
+  pool.Shutdown();
+}
+
 TEST(ParallelChunksTest, ShutDownPoolFallsBackToCaller) {
   ThreadPool pool(2, 4);
   pool.Shutdown();
