@@ -62,7 +62,7 @@ class LocationSanitizer {
     // mechanisms are never freed under a reader). 0 = unbounded.
     Builder& SetCacheByteBudget(size_t bytes);
     // Worker pool for parallel LP construction (pricing scans, cost
-    // tables, simplex kernels). Not owned; must outlive the sanitizer.
+    // tables, row samplers). Not owned; must outlive the sanitizer.
     // Builds never block on the pool, so it is safe to share the serving
     // pool. Null (the default) keeps construction serial.
     Builder& SetConstructionPool(ThreadPool* pool);

@@ -11,6 +11,9 @@ namespace geopriv::lp {
 
 namespace {
 
+// Smallest acceptable pivot, relative to the entering column's largest
+// FTRAN'd entry once that exceeds 1: a pivot that small against its own
+// column is rounding noise, and taking it makes the basis singular.
 constexpr double kPivotTol = 1e-9;
 constexpr double kZeroTol = 1e-11;
 // Consecutive degenerate pivots before switching to Bland's rule.
@@ -410,9 +413,12 @@ Core::StepResult Core::Iterate(bool bland) {
   double leave_bound = 0.0;
   VarStatus leave_status = VarStatus::kAtLower;
   double best_pivot_mag = 0.0;
+  double w_max = 1.0;
+  for (int i = 0; i < m_; ++i) w_max = std::max(w_max, std::abs(w_[i]));
+  const double pivot_tol = kPivotTol * w_max;
   for (int i = 0; i < m_; ++i) {
     const double dw = enter_dir * w_[i];
-    if (std::abs(dw) <= kPivotTol) continue;
+    if (std::abs(dw) <= pivot_tol) continue;
     const int bj = basis_[i];
     double bound;
     VarStatus new_status;

@@ -3,9 +3,16 @@
 // Solves Model (min/max c'x, sparse rows, box bounds) via the classical
 // two-phase method: phase 1 minimizes the sum of artificial variables to
 // find a feasible basis, phase 2 optimizes the true objective. The basis
-// inverse is kept explicitly (dense, row-major) and maintained with
-// product-form (eta) updates, rebuilt from scratch every
-// `refactorization_interval` pivots to bound floating-point drift.
+// is held as a sparse LU factorization (lp/lu_factor.h) extended by one
+// product-form eta column per basis change, and refactorized from scratch
+// every `refactorization_interval` changes to bound the eta file and its
+// floating-point drift. Each basis change computes the pivot row of
+// B^{-1} A once and uses it to update the reduced costs and the devex
+// weights and to price the next entering variable; duals are recomputed
+// from scratch only at refactorizations. A solve that hits numerical
+// trouble (a singular refactorization) is retried once from a cold start
+// with frequent refactorization, and the result says so
+// (LpSolution::numerical_retries).
 //
 // Warm starting: Solve() can resume from a Basis captured by a previous
 // call. This matters for column generation (the optimal GeoInd mechanism):

@@ -1,9 +1,12 @@
+#include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "lp/interior_point.h"
+#include "lp/lu_factor.h"
 #include "lp/model.h"
 #include "lp/revised_simplex.h"
 #include "rng/rng.h"
@@ -468,6 +471,93 @@ TEST(SimplexTest, SingularRefactorizationRetriesColdAndCounts) {
   const LpSolution cold = RevisedSimplex::Solve(m, o);
   EXPECT_EQ(cold.numerical_retries, 0);
   EXPECT_NEAR(cold.objective, sol.objective, 1e-12);
+}
+
+// Random sparse bases: every Ftran/Btran through the LU factor and its
+// eta file must solve B x = b and B' y = c, with B rebuilt densely from
+// the basic columns, both right after a factorization and after a run of
+// basis changes.
+TEST(LuFactorTest, SolvesMatchDenseProductsAcrossUpdates) {
+  for (uint64_t seed : {1, 2, 3, 4}) {
+    rng::Rng rng(seed);
+    const int m = 12 + static_cast<int>(rng.UniformInt(30));
+    // CSC: m unit columns, then 3m random columns of 1-4 entries.
+    std::vector<int> col_start{0};
+    std::vector<int> row_index;
+    std::vector<double> value;
+    for (int i = 0; i < m; ++i) {
+      row_index.push_back(i);
+      value.push_back(1.0);
+      col_start.push_back(static_cast<int>(row_index.size()));
+    }
+    for (int j = 0; j < 3 * m; ++j) {
+      const int entries = 1 + static_cast<int>(rng.UniformInt(4));
+      std::vector<bool> used(m, false);
+      for (int e = 0; e < entries; ++e) {
+        const int r = static_cast<int>(rng.UniformInt(m));
+        if (used[r]) continue;
+        used[r] = true;
+        row_index.push_back(r);
+        value.push_back(rng.Uniform(-2.0, 2.0));
+      }
+      col_start.push_back(static_cast<int>(row_index.size()));
+    }
+    std::vector<int> basic(m);
+    for (int i = 0; i < m; ++i) basic[i] = i;
+    const auto check = [&](LuFactor& lu, const std::string& when) {
+      std::vector<double> b(m), x(m), c(m), y(m);
+      for (int i = 0; i < m; ++i) b[i] = x[i] = rng.Uniform(-1.0, 1.0);
+      for (int i = 0; i < m; ++i) c[i] = y[i] = rng.Uniform(-1.0, 1.0);
+      lu.Ftran(&x);
+      lu.Btran(&y);
+      std::vector<double> bx(m, 0.0);
+      for (int k = 0; k < m; ++k) {
+        double cy = 0.0;
+        for (int p = col_start[basic[k]]; p < col_start[basic[k] + 1]; ++p) {
+          bx[row_index[p]] += value[p] * x[k];
+          cy += value[p] * y[row_index[p]];
+        }
+        EXPECT_NEAR(cy, c[k], 1e-9) << when << " B'y, position " << k;
+      }
+      for (int i = 0; i < m; ++i) {
+        EXPECT_NEAR(bx[i], b[i], 1e-9) << when << " Bx, row " << i;
+      }
+    };
+    LuFactor lu;
+    for (int round = 0; round < 4; ++round) {
+      ASSERT_TRUE(lu.Factorize(m, col_start, row_index, value, basic));
+      check(lu, "factorized, seed " + std::to_string(seed));
+      // Basis changes with well-conditioned pivots, as the ratio test
+      // would pick them.
+      for (int update = 0; update < m; ++update) {
+        const int j = m + static_cast<int>(rng.UniformInt(3 * m));
+        if (std::find(basic.begin(), basic.end(), j) != basic.end()) continue;
+        std::vector<double> w(m, 0.0);
+        for (int p = col_start[j]; p < col_start[j + 1]; ++p) {
+          w[row_index[p]] = value[p];
+        }
+        lu.Ftran(&w);
+        int pos = 0;
+        for (int k = 1; k < m; ++k) {
+          if (std::abs(w[k]) > std::abs(w[pos])) pos = k;
+        }
+        if (std::abs(w[pos]) < 0.1) continue;
+        lu.Update(pos, w);
+        basic[pos] = j;
+      }
+      check(lu, "after " + std::to_string(lu.num_updates()) + " updates");
+    }
+  }
+}
+
+TEST(LuFactorTest, SingularBasisIsRejected) {
+  // Two identical columns.
+  const std::vector<int> col_start{0, 2, 4};
+  const std::vector<int> row_index{0, 1, 0, 1};
+  const std::vector<double> value{1.0, 2.0, 1.0, 2.0};
+  const std::vector<int> basic{0, 1};
+  LuFactor lu;
+  EXPECT_FALSE(lu.Factorize(2, col_start, row_index, value, basic));
 }
 
 TEST(SimplexTest, TimeLimitReported) {

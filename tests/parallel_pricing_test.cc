@@ -1,6 +1,6 @@
 // Tests of the parallel LP construction pipeline and the solve-path
 // bugfixes that ride with it:
-//   * parallel pricing / table builds / simplex kernels are bit-identical
+//   * parallel pricing / table builds / row samplers are bit-identical
 //     to serial runs at every thread count,
 //   * the deadline fires promptly *inside* a pricing scan (not only at
 //     round boundaries),
@@ -81,9 +81,8 @@ mechanisms::OptimalMechanism BuildOpt(int g, double eps,
   return std::move(opt).value();
 }
 
-// g = 5 (n = 25, m = 625 dual rows) is the smallest size where every
-// parallel stage actually engages: the simplex kernels' work gate needs
-// m^2 >= 2^17 element-ops.
+// g = 5 (n = 25, m = 625 dual rows): enough z-slices and rows that every
+// thread count gets several pricing and sampler chunks of its own.
 TEST(ParallelPricingTest, DeterministicAcrossThreadCounts) {
   const auto serial = BuildOpt(5, 1.2, nullptr, 0);
   for (int t : {2, 4, 8}) {
