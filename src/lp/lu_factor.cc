@@ -31,13 +31,6 @@ double DenseDot(const double* a, const double* b, int n) {
   return (s0 + s1) + (s2 + s3);
 }
 
-// Index of `value` in `v` (which must contain it).
-int IndexOf(const std::vector<int>& v, int value) {
-  int p = 0;
-  while (v[p] != value) ++p;
-  return p;
-}
-
 }  // namespace
 
 bool LuFactor::Factorize(int m, std::span<const int> col_start,
@@ -45,34 +38,31 @@ bool LuFactor::Factorize(int m, std::span<const int> col_start,
                          std::span<const double> value,
                          std::span<const int> basic) {
   m_ = m;
-  eta_pos_.clear();
-  eta_pivot_.clear();
-  eta_start_.assign(1, 0);
-  eta_index_.clear();
-  eta_value_.clear();
-  eta_dense_.clear();
+  etas_.clear();
+  eta_entries_.clear();
   eta_dense_value_.clear();
-  // Inner vectors keep their capacity across refactorizations.
-  col_rows_.resize(m);
-  col_vals_.resize(m);
+  active_cols_.resize(m);
   row_cols_.resize(m);
   for (int k = 0; k < m; ++k) {
-    col_rows_[k].clear();
-    col_vals_[k].clear();
+    active_cols_[k].clear();
     row_cols_[k].clear();
   }
   row_count_.assign(m, 0);
+  int nonzeros = 0;
   for (int k = 0; k < m; ++k) {
     const int j = basic[k];
     for (int p = col_start[j]; p < col_start[j + 1]; ++p) {
       if (value[p] == 0.0) continue;
       const int r = row_index[p];
-      col_rows_[k].push_back(r);
-      col_vals_[k].push_back(value[p]);
+      active_cols_[k].push_back({r, value[p]});
       row_cols_[r].push_back(k);
       ++row_count_[r];
+      ++nonzeros;
     }
   }
+  // Without fill, L and U together hold at most the basis' nonzeros.
+  l_entries_.reserve(nonzeros);
+  urow_entries_.reserve(nonzeros);
   return Eliminate(m);
 }
 
@@ -82,9 +72,11 @@ bool LuFactor::Eliminate(int m) {
   slot_.assign(m, -1);
   col_singletons_.clear();
   row_singletons_.clear();
+  col_singletons_.reserve(m);
+  row_singletons_.reserve(m);
   for (int k = 0; k < m; ++k) {
-    if (col_rows_[k].empty() || row_count_[k] == 0) return false;
-    if (col_rows_[k].size() == 1) col_singletons_.push_back(k);
+    if (active_cols_[k].empty() || row_count_[k] == 0) return false;
+    if (active_cols_[k].size() == 1) col_singletons_.push_back(k);
     if (row_count_[k] == 1) row_singletons_.push_back(k);
   }
   pivot_row_.resize(m);
@@ -92,11 +84,9 @@ bool LuFactor::Eliminate(int m) {
   inv_diag_.resize(m);
   l_row_.clear();
   l_start_.assign(1, 0);
-  l_index_.clear();
-  l_value_.clear();
+  l_entries_.clear();
   urow_start_.assign(1, 0);
-  urow_index_.clear();
-  urow_value_.clear();
+  urow_entries_.clear();
   for (int s = 0; s < m; ++s) {
     int r = -1;
     int c = -1;
@@ -108,23 +98,27 @@ bool LuFactor::Eliminate(int m) {
   // Column-wise copy of U's off-diagonals for Ftran. row_count_ is dead
   // after elimination and doubles as the fill cursor.
   ucol_start_.assign(m + 1, 0);
-  for (int j : urow_index_) ++ucol_start_[j + 1];
+  for (const Entry& e : urow_entries_) ++ucol_start_[e.index + 1];
   for (int j = 0; j < m; ++j) ucol_start_[j + 1] += ucol_start_[j];
-  ucol_index_.resize(urow_index_.size());
-  ucol_value_.resize(urow_index_.size());
+  ucol_entries_.resize(urow_entries_.size());
   row_count_.assign(ucol_start_.begin(), ucol_start_.end() - 1);
   for (int s = 0; s < m; ++s) {
     for (int e = urow_start_[s]; e < urow_start_[s + 1]; ++e) {
-      const int q = row_count_[urow_index_[e]]++;
-      ucol_index_[q] = pivot_row_[s];
-      ucol_value_[q] = urow_value_[e];
+      const Entry& u = urow_entries_[e];
+      ucol_entries_[row_count_[u.index]++] = {pivot_row_[s], u.value};
     }
   }
   return true;
 }
 
+int LuFactor::PositionOf(const std::vector<Entry>& entries, int index) {
+  int p = 0;
+  while (entries[p].index != index) ++p;
+  return p;
+}
+
 double LuFactor::ActiveValue(int row, int col) const {
-  return col_vals_[col][IndexOf(col_rows_[col], row)];
+  return active_cols_[col][PositionOf(active_cols_[col], row)].value;
 }
 
 bool LuFactor::PickPivot(int* row, int* col) {
@@ -132,9 +126,9 @@ bool LuFactor::PickPivot(int* row, int* col) {
   while (!col_singletons_.empty()) {
     const int c = col_singletons_.back();
     col_singletons_.pop_back();
-    if (col_done_[c] || col_rows_[c].size() != 1) continue;
-    if (std::abs(col_vals_[c][0]) < kSingularTol) return false;
-    *row = col_rows_[c][0];
+    if (col_done_[c] || active_cols_[c].size() != 1) continue;
+    if (std::abs(active_cols_[c][0].value) < kSingularTol) return false;
+    *row = active_cols_[c][0].index;
     *col = c;
     return true;
   }
@@ -152,7 +146,9 @@ bool LuFactor::PickPivot(int* row, int* col) {
       }
     }
     double col_max = 0.0;
-    for (double v : col_vals_[c]) col_max = std::max(col_max, std::abs(v));
+    for (const Entry& e : active_cols_[c]) {
+      col_max = std::max(col_max, std::abs(e.value));
+    }
     const double a = std::abs(ActiveValue(r, c));
     if (a >= kThreshold * col_max && a >= kSingularTol) {
       *row = r;
@@ -167,20 +163,19 @@ bool LuFactor::PickPivot(int* row, int* col) {
   double best_abs = 0.0;
   for (int c = 0; c < m_; ++c) {
     if (col_done_[c]) continue;
-    const std::vector<int>& rows = col_rows_[c];
-    const std::vector<double>& vals = col_vals_[c];
+    const std::vector<Entry>& entries = active_cols_[c];
     double col_max = 0.0;
-    for (double v : vals) col_max = std::max(col_max, std::abs(v));
+    for (const Entry& e : entries) col_max = std::max(col_max, std::abs(e.value));
     if (col_max < kSingularTol) return false;
-    const int64_t col_cost = static_cast<int64_t>(rows.size()) - 1;
-    for (size_t p = 0; p < rows.size(); ++p) {
-      const double a = std::abs(vals[p]);
+    const int64_t col_cost = static_cast<int64_t>(entries.size()) - 1;
+    for (const Entry& e : entries) {
+      const double a = std::abs(e.value);
       if (a < kThreshold * col_max) continue;
-      const int64_t cost = (row_count_[rows[p]] - 1) * col_cost;
+      const int64_t cost = (row_count_[e.index] - 1) * col_cost;
       if (cost < best_cost || (cost == best_cost && a > best_abs)) {
         best_cost = cost;
         best_abs = a;
-        *row = rows[p];
+        *row = e.index;
         *col = c;
       }
     }
@@ -190,66 +185,60 @@ bool LuFactor::PickPivot(int* row, int* col) {
 }
 
 double LuFactor::PivotOn(int r, int c) {
-  const std::vector<int>& crows = col_rows_[c];
-  const std::vector<double>& cvals = col_vals_[c];
-  const int pp = IndexOf(crows, r);
-  const double pivot = cvals[pp];
+  const std::vector<Entry>& pivot_col = active_cols_[c];
+  const int pp = PositionOf(pivot_col, r);
+  const double pivot = pivot_col[pp].value;
   row_done_[r] = 1;
   col_done_[c] = 1;
 
   // Row r of U: its entries in the other active columns, which lose row r.
-  const size_t u_begin = urow_index_.size();
+  const size_t u_begin = urow_entries_.size();
   for (int j : row_cols_[r]) {
     if (col_done_[j]) continue;
-    std::vector<int>& rows = col_rows_[j];
-    std::vector<double>& vals = col_vals_[j];
-    const int p = IndexOf(rows, r);
-    urow_index_.push_back(j);
-    urow_value_.push_back(vals[p]);
-    rows[p] = rows.back();
-    vals[p] = vals.back();
-    rows.pop_back();
-    vals.pop_back();
-    if (rows.size() == 1) col_singletons_.push_back(j);
+    std::vector<Entry>& entries = active_cols_[j];
+    const int p = PositionOf(entries, r);
+    urow_entries_.push_back({j, entries[p].value});
+    entries[p] = entries.back();
+    entries.pop_back();
+    if (entries.size() == 1) col_singletons_.push_back(j);
   }
-  urow_start_.push_back(static_cast<int>(urow_index_.size()));
+  urow_start_.push_back(static_cast<int>(urow_entries_.size()));
 
   // Column c of L: the multipliers of the other active rows, which lose
   // column c.
-  const size_t l_begin = l_index_.size();
-  for (size_t p = 0; p < crows.size(); ++p) {
+  const size_t l_begin = l_entries_.size();
+  for (size_t p = 0; p < pivot_col.size(); ++p) {
     if (static_cast<int>(p) == pp) continue;
-    const int i = crows[p];
-    l_index_.push_back(i);
-    l_value_.push_back(cvals[p] / pivot);
+    const int i = pivot_col[p].index;
+    l_entries_.push_back({i, pivot_col[p].value / pivot});
     if (--row_count_[i] == 1) row_singletons_.push_back(i);
   }
-  if (l_index_.size() == l_begin) return pivot;
+  if (l_entries_.size() == l_begin) return pivot;
   l_row_.push_back(r);
-  l_start_.push_back(static_cast<int>(l_index_.size()));
+  l_start_.push_back(static_cast<int>(l_entries_.size()));
 
   // Schur complement: a_ij -= l_i * u_rj over the multiplier rows i and
   // U columns j, appending fill where a_ij was structurally zero.
-  for (size_t e = u_begin; e < urow_index_.size(); ++e) {
-    const int j = urow_index_[e];
-    const double u = urow_value_[e];
-    std::vector<int>& rows = col_rows_[j];
-    std::vector<double>& vals = col_vals_[j];
-    const size_t original = rows.size();
-    for (size_t p = 0; p < original; ++p) slot_[rows[p]] = static_cast<int>(p);
-    for (size_t q = l_begin; q < l_index_.size(); ++q) {
-      const int i = l_index_[q];
-      const double delta = l_value_[q] * u;
+  for (size_t e = u_begin; e < urow_entries_.size(); ++e) {
+    const int j = urow_entries_[e].index;
+    const double u = urow_entries_[e].value;
+    std::vector<Entry>& entries = active_cols_[j];
+    const size_t original = entries.size();
+    for (size_t p = 0; p < original; ++p) {
+      slot_[entries[p].index] = static_cast<int>(p);
+    }
+    for (size_t q = l_begin; q < l_entries_.size(); ++q) {
+      const int i = l_entries_[q].index;
+      const double delta = l_entries_[q].value * u;
       if (slot_[i] >= 0) {
-        vals[slot_[i]] -= delta;
+        entries[slot_[i]].value -= delta;
       } else {
-        rows.push_back(i);
-        vals.push_back(-delta);
+        entries.push_back({i, -delta});
         row_cols_[i].push_back(j);
         ++row_count_[i];
       }
     }
-    for (size_t p = 0; p < original; ++p) slot_[rows[p]] = -1;
+    for (size_t p = 0; p < original; ++p) slot_[entries[p].index] = -1;
   }
   return pivot;
 }
@@ -261,7 +250,7 @@ void LuFactor::Ftran(std::vector<double>* x) {
     const double pivot_value = v[l_row_[k]];
     if (pivot_value == 0.0) continue;
     for (int e = l_start_[k]; e < l_start_[k + 1]; ++e) {
-      v[l_index_[e]] -= l_value_[e] * pivot_value;
+      v[l_entries_[e].index] -= l_entries_[e].value * pivot_value;
     }
   }
   work_.swap(v);  // work_: row-indexed; v: refilled by position below
@@ -272,40 +261,38 @@ void LuFactor::Ftran(std::vector<double>* x) {
     if (val != 0.0) {
       val *= inv_diag_[s];
       for (int e = ucol_start_[c]; e < ucol_start_[c + 1]; ++e) {
-        work_[ucol_index_[e]] -= ucol_value_[e] * val;
+        work_[ucol_entries_[e].index] -= ucol_entries_[e].value * val;
       }
     }
     v[c] = val;
   }
-  const int num_etas = num_updates();
-  for (int k = 0; k < num_etas; ++k) {
-    const int p = eta_pos_[k];
-    if (v[p] == 0.0) continue;
-    const double xp = v[p] / eta_pivot_[k];
-    if (eta_dense_[k] >= 0) {
-      const double* w = &eta_dense_value_[eta_dense_[k]];
+  for (const Eta& eta : etas_) {
+    if (v[eta.pos] == 0.0) continue;
+    const double xp = v[eta.pos] / eta.pivot;
+    if (eta.dense >= 0) {
+      const double* w = &eta_dense_value_[eta.dense];
       for (int i = 0; i < m_; ++i) v[i] -= w[i] * xp;
     } else {
-      for (int e = eta_start_[k]; e < eta_start_[k + 1]; ++e) {
-        v[eta_index_[e]] -= eta_value_[e] * xp;
+      for (int e = eta.begin; e < eta.end; ++e) {
+        v[eta_entries_[e].index] -= eta_entries_[e].value * xp;
       }
     }
-    v[p] = xp;
+    v[eta.pos] = xp;
   }
 }
 
 void LuFactor::Btran(std::vector<double>* y) {
   std::vector<double>& v = *y;
-  for (int k = num_updates() - 1; k >= 0; --k) {
+  for (auto eta = etas_.rbegin(); eta != etas_.rend(); ++eta) {
     double dot = 0.0;
-    if (eta_dense_[k] >= 0) {
-      dot = DenseDot(&eta_dense_value_[eta_dense_[k]], v.data(), m_);
+    if (eta->dense >= 0) {
+      dot = DenseDot(&eta_dense_value_[eta->dense], v.data(), m_);
     } else {
-      for (int e = eta_start_[k]; e < eta_start_[k + 1]; ++e) {
-        dot += eta_value_[e] * v[eta_index_[e]];
+      for (int e = eta->begin; e < eta->end; ++e) {
+        dot += eta_entries_[e].value * v[eta_entries_[e].index];
       }
     }
-    v[eta_pos_[k]] = (v[eta_pos_[k]] - dot) / eta_pivot_[k];
+    v[eta->pos] = (v[eta->pos] - dot) / eta->pivot;
   }
   work_.swap(v);  // work_: position-indexed; v: refilled by row below
   v.resize(m_);
@@ -314,7 +301,7 @@ void LuFactor::Btran(std::vector<double>* y) {
     if (val != 0.0) {
       val *= inv_diag_[s];
       for (int e = urow_start_[s]; e < urow_start_[s + 1]; ++e) {
-        work_[urow_index_[e]] -= urow_value_[e] * val;
+        work_[urow_entries_[e].index] -= urow_entries_[e].value * val;
       }
     }
     v[pivot_row_[s]] = val;
@@ -322,31 +309,27 @@ void LuFactor::Btran(std::vector<double>* y) {
   for (int k = static_cast<int>(l_row_.size()) - 1; k >= 0; --k) {
     double sum = 0.0;
     for (int e = l_start_[k]; e < l_start_[k + 1]; ++e) {
-      sum += l_value_[e] * v[l_index_[e]];
+      sum += l_entries_[e].value * v[l_entries_[e].index];
     }
     v[l_row_[k]] -= sum;
   }
 }
 
 void LuFactor::Update(int pos, const std::vector<double>& w) {
-  eta_pos_.push_back(pos);
-  eta_pivot_.push_back(w[pos]);
   int nonzeros = 0;
   for (int i = 0; i < m_; ++i) nonzeros += w[i] != 0.0;
+  Eta eta{pos, -1, static_cast<int>(eta_entries_.size()), 0, w[pos]};
   if (3 * nonzeros > m_) {
-    eta_dense_.push_back(static_cast<int>(eta_dense_value_.size()));
+    eta.dense = static_cast<int>(eta_dense_value_.size());
     eta_dense_value_.insert(eta_dense_value_.end(), w.begin(), w.end());
-    eta_dense_value_[eta_dense_.back() + pos] = 0.0;
+    eta_dense_value_[eta.dense + pos] = 0.0;
   } else {
-    eta_dense_.push_back(-1);
     for (int i = 0; i < m_; ++i) {
-      if (i != pos && w[i] != 0.0) {
-        eta_index_.push_back(i);
-        eta_value_.push_back(w[i]);
-      }
+      if (i != pos && w[i] != 0.0) eta_entries_.push_back({i, w[i]});
     }
   }
-  eta_start_.push_back(static_cast<int>(eta_index_.size()));
+  eta.end = static_cast<int>(eta_entries_.size());
+  etas_.push_back(eta);
 }
 
 }  // namespace geopriv::lp

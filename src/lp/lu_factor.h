@@ -43,9 +43,29 @@ class LuFactor {
   void Update(int pos, const std::vector<double>& w);
 
   // Eta columns appended since the last Factorize().
-  int num_updates() const { return static_cast<int>(eta_pos_.size()); }
+  int num_updates() const { return static_cast<int>(etas_.size()); }
 
  private:
+  // One sparse entry; `index` is a row or a basis position by context.
+  struct Entry {
+    int index;
+    double value;
+  };
+  // Eta column: the basis change that replaced position `pos`, whose
+  // FTRAN'd column had `pivot` there and entries[begin, end) elsewhere. A
+  // column with more than a third of its entries nonzero is instead kept
+  // as a dense m-vector (zero at `pos`) at eta_dense_value_[dense], so
+  // Ftran/Btran stream it rather than gather; sparse ones have dense = -1.
+  struct Eta {
+    int pos;
+    int dense;
+    int begin;
+    int end;
+    double pivot;
+  };
+
+  // Position of the entry with `index` in `entries` (which must hold it).
+  static int PositionOf(const std::vector<Entry>& entries, int index);
   bool Eliminate(int m);
   bool PickPivot(int* row, int* col);
   double ActiveValue(int row, int col) const;
@@ -55,10 +75,10 @@ class LuFactor {
 
   int m_ = 0;
 
-  // Active submatrix during elimination, column-major with values plus a
-  // row-major pattern (stale entries of eliminated columns are skipped).
-  std::vector<std::vector<int>> col_rows_;
-  std::vector<std::vector<double>> col_vals_;
+  // Active submatrix during elimination: columns with values (index =
+  // row) plus a row-major pattern (stale entries of eliminated columns are
+  // skipped). Inner vectors keep their capacity across factorizations.
+  std::vector<std::vector<Entry>> active_cols_;
   std::vector<std::vector<int>> row_cols_;
   std::vector<int> row_count_;
   std::vector<char> row_done_;
@@ -68,35 +88,23 @@ class LuFactor {
   std::vector<int> slot_;  // row -> index in the column being updated
 
   // Factor. Step s pivoted on (pivot_row_[s], pivot_col_[s]) with value
-  // 1 / inv_diag_[s]. L columns are stored only for steps with
-  // multipliers.
+  // 1 / inv_diag_[s]. L columns (index = row) are stored only for steps
+  // with multipliers.
   std::vector<int> pivot_row_;
   std::vector<int> pivot_col_;
   std::vector<double> inv_diag_;
   std::vector<int> l_row_;    // pivot row of each stored L column
   std::vector<int> l_start_;  // size = stored L columns + 1
-  std::vector<int> l_index_;  // row
-  std::vector<double> l_value_;
+  std::vector<Entry> l_entries_;
   // Off-diagonal U by step (row-wise; index = basis position) and its
   // transpose by basis position (column-wise; index = row).
   std::vector<int> urow_start_;
-  std::vector<int> urow_index_;
-  std::vector<double> urow_value_;
+  std::vector<Entry> urow_entries_;
   std::vector<int> ucol_start_;
-  std::vector<int> ucol_index_;
-  std::vector<double> ucol_value_;
+  std::vector<Entry> ucol_entries_;
 
-  // Eta file: eta e replaced position eta_pos_[e], whose FTRAN'd column
-  // had eta_pivot_[e] there and the listed entries elsewhere. A column
-  // with more than a third of its entries nonzero is kept as a dense
-  // m-vector (zero at eta_pos_[e]) at eta_dense_[e], so Ftran/Btran stream
-  // it instead of gathering; a sparse one has eta_dense_[e] = -1.
-  std::vector<int> eta_pos_;
-  std::vector<double> eta_pivot_;
-  std::vector<int> eta_start_{0};
-  std::vector<int> eta_index_;
-  std::vector<double> eta_value_;
-  std::vector<int> eta_dense_;
+  std::vector<Eta> etas_;
+  std::vector<Entry> eta_entries_;
   std::vector<double> eta_dense_value_;
 
   std::vector<double> work_;
