@@ -20,7 +20,8 @@ constexpr double kZeroTol = 1e-11;
 constexpr int kDegenerateLimit = 200;
 // The pivot element is computed twice per basis change: from the FTRAN'd
 // entering column and from the BTRAN'd pivot row. A relative disagreement
-// beyond this means the factor has drifted; refactorize at once.
+// beyond this means the factor has drifted: an updated factor is rebuilt
+// before the step is taken, a fresh one right after it.
 constexpr double kPivotDriftTol = 1e-8;
 
 // Internal solver state for one Solve() call.
@@ -32,7 +33,9 @@ class Core {
   LpSolution Run(const Basis* warm, Basis* out_basis);
 
  private:
-  enum class StepResult { kOptimal, kUnbounded, kContinue };
+  // kRefactor: the step was abandoned because the factor has drifted;
+  // rebuild it and price again.
+  enum class StepResult { kOptimal, kUnbounded, kContinue, kRefactor };
 
   void BuildColumns();
   void AddArtificial(int row, double sign);
@@ -450,6 +453,19 @@ Core::StepResult Core::Iterate(bool bland) {
   const double own_range = ub_[enter] - lb_[enter];
   const bool flip = std::isfinite(own_range) && own_range <= t_best;
   if (!flip && leave_row < 0) return StepResult::kUnbounded;
+  // Pivot row rho = e_r' B^{-1} of a basis change, from the old factor.
+  bool drifted = false;
+  if (!flip) {
+    rho_.assign(m_, 0.0);
+    rho_[leave_row] = 1.0;
+    factor_.Btran(&rho_);
+    const double pivot = w_[leave_row];
+    drifted = std::abs(ColumnDot(enter, rho_) - pivot) >
+              kPivotDriftTol * (1.0 + std::abs(pivot));
+    // Taking a pivot that drift may have made up can leave a singular
+    // basis behind, so a drifted updated factor is rebuilt first.
+    if (drifted && factor_.num_updates() > 0) return StepResult::kRefactor;
+  }
   const double t = flip ? own_range : t_best;
   for (int i = 0; i < m_; ++i) {
     if (w_[i] != 0.0) x_[basis_[i]] -= enter_dir * t * w_[i];
@@ -466,15 +482,8 @@ Core::StepResult Core::Iterate(bool bland) {
     return StepResult::kContinue;
   }
 
-  // --- Basis change: pivot row rho = e_r' B^{-1} from the old factor. ---
+  // --- Basis change. ---
   const double pivot = w_[leave_row];
-  rho_.assign(m_, 0.0);
-  rho_[leave_row] = 1.0;
-  factor_.Btran(&rho_);
-  const double pivot_from_row = ColumnDot(enter, rho_);
-  const bool drifted = std::abs(pivot_from_row - pivot) >
-                       kPivotDriftTol * (1.0 + std::abs(pivot));
-
   const int leaving = basis_[leave_row];
   x_[leaving] = leave_bound;
   status_[leaving] = leave_status;
@@ -549,6 +558,10 @@ SolveStatus Core::RunPhase(const std::vector<double>& cost) {
       ComputeReducedCosts(cost);
     }
     const StepResult sr = Iterate(bland);
+    if (sr == StepResult::kRefactor) {
+      refactor_due_ = true;
+      continue;
+    }
     if (sr == StepResult::kOptimal) {
       if (fresh_) return SolveStatus::kOptimal;
       // Confirm against a fresh factor, basic values and reduced costs
@@ -675,19 +688,23 @@ LpSolution Core::Run(const Basis* warm, Basis* out_basis) {
 LpSolution RevisedSimplex::Solve(const Model& model,
                                  const SolverOptions& options,
                                  const Basis* warm, Basis* out_basis) {
-  {
-    Core core(model, options);
-    LpSolution result = core.Run(warm, out_basis);
-    if (result.status != SolveStatus::kNumericalError) return result;
-  }
+  LpSolution first = Core(model, options).Run(warm, out_basis);
+  if (first.status != SolveStatus::kNumericalError) return first;
   // Numerical trouble (e.g. a drifted basis turned singular): retry once
-  // from a cold start with frequent refactorization.
+  // from a cold start with frequent refactorization, within what is left
+  // of the time and iteration limits (a spent budget stops it at its first
+  // check). The result counts the work of both attempts.
   SolverOptions retry = options;
   retry.refactorization_interval =
       std::min(retry.refactorization_interval, 16);
-  Core core(model, retry);
-  LpSolution result = core.Run(nullptr, out_basis);
+  retry.time_limit_seconds -= first.solve_seconds;
+  retry.max_iterations -= first.iterations;
+  LpSolution result = Core(model, retry).Run(nullptr, out_basis);
   result.numerical_retries = 1;
+  result.iterations += first.iterations;
+  result.solve_seconds += first.solve_seconds;
+  result.refactorizations += first.refactorizations;
+  result.refactor_seconds += first.refactor_seconds;
   return result;
 }
 

@@ -11,8 +11,8 @@
 // weights and to price the next entering variable; duals are recomputed
 // from scratch only at refactorizations. A solve that hits numerical
 // trouble (a singular refactorization) is retried once from a cold start
-// with frequent refactorization, and the result says so
-// (LpSolution::numerical_retries).
+// with frequent refactorization, within what is left of the time and
+// iteration limits, and the result says so (LpSolution::numerical_retries).
 //
 // Warm starting: Solve() can resume from a Basis captured by a previous
 // call. This matters for column generation (the optimal GeoInd mechanism):

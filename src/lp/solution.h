@@ -51,7 +51,8 @@ struct LpSolution {
   int refactorizations = 0;
   double refactor_seconds = 0.0;
   // 1 when the solve hit numerical trouble (a singular refactorization)
-  // and this result comes from the solver's one cold-start retry.
+  // and this result comes from the solver's one cold-start retry; the
+  // counts and times above then cover both attempts.
   int numerical_retries = 0;
 
   bool optimal() const { return status == SolveStatus::kOptimal; }

@@ -471,6 +471,19 @@ TEST(SimplexTest, SingularRefactorizationRetriesColdAndCounts) {
   const LpSolution cold = RevisedSimplex::Solve(m, o);
   EXPECT_EQ(cold.numerical_retries, 0);
   EXPECT_NEAR(cold.objective, sol.objective, 1e-12);
+  // The result counts both attempts: the failed one's pivot on top of the
+  // cold path's.
+  EXPECT_EQ(sol.iterations, cold.iterations + 1);
+  EXPECT_GT(sol.refactorizations, cold.refactorizations);
+
+  // The retry runs on what the failed attempt left of the budget: with
+  // just enough iterations for the cold path, the pivot spent before the
+  // retry makes it hit the limit instead of starting the budget afresh.
+  o.max_iterations = cold.iterations + 1;
+  EXPECT_TRUE(RevisedSimplex::Solve(m, o).optimal());
+  const LpSolution capped = RevisedSimplex::Solve(m, o, &warm);
+  EXPECT_EQ(capped.numerical_retries, 1);
+  EXPECT_EQ(capped.status, SolveStatus::kIterationLimit);
 }
 
 // Random sparse bases: every Ftran/Btran through the LU factor and its
