@@ -14,7 +14,6 @@
 //   --eps E         privacy budget (default 1.0)
 //   --prewarm_g G   MSM fanout for the prewarm experiment (default 3)
 //   --prewarm_k K   nodes to prewarm (default 10)
-//   --ladder_from G first rung of the one-thread g ladder (default 6)
 //   --limit_s S     time limit per ladder rung and for the large-n
 //                   attempt, in seconds (default 60)
 //   --large_g G     large-instance attempt per axis (default 20: n = 400)
@@ -108,7 +107,6 @@ int Main(int argc, char** argv) {
   const double eps = flags.GetDouble("eps", 1.0);
   const int prewarm_g = flags.GetInt("prewarm_g", 3);
   const int prewarm_k = flags.GetInt("prewarm_k", 10);
-  const int ladder_from = flags.GetInt("ladder_from", 6);
   const double limit_s = flags.GetDouble("limit_s", 60.0);
   const int large_g = flags.GetInt("large_g", 20);
   const std::string json_path = flags.GetString("json", "BENCH_lp.json");
@@ -153,8 +151,9 @@ int Main(int argc, char** argv) {
                 prewarms.back().warmed, prewarms.back().seconds);
   }
 
-  // One-thread ladder: grow g until a rung misses the time limit. Every
-  // rung is reported; the largest solved n is the figure of merit.
+  // One-thread ladder: grow g from one above the create sweep's until a
+  // rung misses the time limit. Every rung is reported; the largest solved
+  // n is the figure of merit.
   struct Rung {
     int n = 0;
     bool ok = false;
@@ -185,7 +184,7 @@ int Main(int argc, char** argv) {
   std::printf("\nOne-thread g ladder (limit %.0f s per rung)\n", limit_s);
   std::vector<Rung> ladder;
   int largest_solved = 0;
-  for (int rung_g = ladder_from;; ++rung_g) {
+  for (int rung_g = g + 1;; ++rung_g) {
     ladder.push_back(attempt(rung_g));
     const Rung& r = ladder.back();
     std::printf("  g=%d n=%d %s in %.3f s (%d pivots, %d rounds)\n", rung_g,

@@ -52,13 +52,10 @@ class LuFactor {
     double value;
   };
   // Eta column: the basis change that replaced position `pos`, whose
-  // FTRAN'd column had `pivot` there and entries[begin, end) elsewhere. A
-  // column with more than a third of its entries nonzero is instead kept
-  // as a dense m-vector (zero at `pos`) at eta_dense_value_[dense], so
-  // Ftran/Btran stream it rather than gather; sparse ones have dense = -1.
+  // FTRAN'd column had `pivot` there and eta_entries_[begin, end)
+  // elsewhere.
   struct Eta {
     int pos;
-    int dense;
     int begin;
     int end;
     double pivot;
@@ -105,7 +102,6 @@ class LuFactor {
 
   std::vector<Eta> etas_;
   std::vector<Entry> eta_entries_;
-  std::vector<double> eta_dense_value_;
 
   std::vector<double> work_;
 };

@@ -55,18 +55,20 @@ class Core {
   int NumVars() const { return static_cast<int>(col_start_.size()) - 1; }
   // Rate at which moving nonbasic j off its bound improves the objective:
   // -d_j at its lower bound, d_j at its upper, |d_j| when free, and 0 for
-  // basic and fixed variables (which never enter). Table-driven, so the
-  // per-pivot pricing pass does not branch on the status.
+  // basic and fixed variables (which never enter).
   double Improvement(int j) const {
-    // max(kSignA[s] * d, kSignB[s] * d), indexed by VarStatus.
-    static constexpr double kSignA[4] = {-1.0, 1.0, 1.0, 0.0};
-    static constexpr double kSignB[4] = {-1.0, 1.0, -1.0, 0.0};
-    static_assert(static_cast<int>(VarStatus::kAtLower) == 0 &&
-                  static_cast<int>(VarStatus::kAtUpper) == 1 &&
-                  static_cast<int>(VarStatus::kFree) == 2 &&
-                  static_cast<int>(VarStatus::kBasic) == 3);
-    const int s = fixed_[j] ? 3 : static_cast<int>(status_[j]);
-    return std::max(kSignA[s] * d_[j], kSignB[s] * d_[j]);
+    if (fixed_[j]) return 0.0;
+    switch (status_[j]) {
+      case VarStatus::kAtLower:
+        return -d_[j];
+      case VarStatus::kAtUpper:
+        return d_[j];
+      case VarStatus::kFree:
+        return std::abs(d_[j]);
+      case VarStatus::kBasic:
+        return 0.0;
+    }
+    return 0.0;
   }
 
   const Model& model_;
@@ -103,7 +105,7 @@ class Core {
   // no step has updated them incrementally since.
   bool fresh_ = false;
   // Set when the factor must be rebuilt before the next step (pivot drift,
-  // or an optimality claim awaiting confirmation).
+  // or an optimality or unboundedness claim awaiting confirmation).
   bool refactor_due_ = false;
   // Entering variable for the next step, chosen by the last pricing pass,
   // and the rule it was chosen under.
@@ -399,7 +401,6 @@ Core::StepResult Core::Iterate(bool bland) {
   const int enter = next_enter_;
   if (enter < 0) return StepResult::kOptimal;
   const double enter_dir = EnteringDirection(enter);
-  fresh_ = false;
 
   // --- FTRAN: w = B^{-1} A_enter. ---
   w_.assign(m_, 0.0);
@@ -467,6 +468,7 @@ Core::StepResult Core::Iterate(bool bland) {
     if (drifted && factor_.num_updates() > 0) return StepResult::kRefactor;
   }
   const double t = flip ? own_range : t_best;
+  fresh_ = false;
   for (int i = 0; i < m_; ++i) {
     if (w_[i] != 0.0) x_[basis_[i]] -= enter_dir * t * w_[i];
   }
@@ -562,15 +564,19 @@ SolveStatus Core::RunPhase(const std::vector<double>& cost) {
       refactor_due_ = true;
       continue;
     }
-    if (sr == StepResult::kOptimal) {
-      if (fresh_) return SolveStatus::kOptimal;
+    if (sr == StepResult::kOptimal || sr == StepResult::kUnbounded) {
       // Confirm against a fresh factor, basic values and reduced costs
-      // before accepting: the incremental updates may have drifted.
-      refactor_due_ = true;
-      continue;
+      // before accepting: the incremental updates may have drifted, and
+      // a drifted d_j can pick an entering column that is not improving.
+      if (!fresh_) {
+        refactor_due_ = true;
+        continue;
+      }
+      if (sr == StepResult::kOptimal) return SolveStatus::kOptimal;
+      ++iterations_;
+      return SolveStatus::kUnbounded;
     }
     ++iterations_;
-    if (sr == StepResult::kUnbounded) return SolveStatus::kUnbounded;
     degenerate = objective_ >= prev_obj - 1e-12 ? degenerate + 1 : 0;
     prev_obj = objective_;
     if (degenerate > kDegenerateLimit) bland = true;

@@ -172,6 +172,11 @@ TEST(SimplexTest, DetectsUnboundedness) {
   m.AddConstraint(ConstraintSense::kLessEqual, 1.0, {{x, 1.0}, {y, -1.0}});
   const LpSolution sol = RevisedSimplex::Solve(m, DefaultOptions());
   EXPECT_EQ(sol.status, SolveStatus::kUnbounded);
+  // x replaces the slack, then y's column shows the ray. That claim rests
+  // on incrementally updated reduced costs, so it is returned only once a
+  // rebuilt factor repeats it.
+  EXPECT_EQ(sol.iterations, 2);
+  EXPECT_EQ(sol.refactorizations, 2);
 }
 
 TEST(SimplexTest, NoConstraintsOptimizesAtBounds) {
